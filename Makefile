@@ -1,7 +1,7 @@
 # Tier-1 gate: everything `make ci` runs must stay green.
 GO ?= go
 
-.PHONY: ci fmt vet test race bench benchsmoke bench-json
+.PHONY: ci fmt vet test race stress bench benchsmoke bench-json
 
 # bench-json is non-gating (leading -): a benchmark wobble must not
 # fail the tier-1 gate, but the JSON trajectory still refreshes.
@@ -30,6 +30,12 @@ test:
 # call into it from concurrent degraded reads.
 race:
 	$(GO) test -race ./internal/ec/... ./internal/fanstore/... ./internal/rpc/... ./internal/mpi/... ./internal/member/... ./internal/decomp/... ./internal/prefetch/... ./internal/trainsim/... ./internal/trace/... ./internal/metrics/... ./internal/obs/... ./internal/tune/...
+
+# Non-gating (kept out of ci): twenty race-detector runs of the wire,
+# store and membership packages, to surface scheduler-dependent flakes
+# that a single -race pass rarely hits. Count failures per package.
+stress:
+	$(GO) test -race -count=20 ./internal/rpc/... ./internal/fanstore/... ./internal/member/...
 
 bench:
 	$(GO) test -run XXX -bench . -benchtime 200x ./internal/fanstore/... ./internal/codec/...

@@ -2,6 +2,7 @@ package fanstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
@@ -121,14 +122,71 @@ func TestPrefetchSkipsSettledPaths(t *testing.T) {
 	}
 }
 
-// TestFetchManyPartialMissOverWire drives a hand-built FetchMany frame
-// through the live daemon: known keys come back ItemOK with a decodable
-// object frame, the miss comes back ItemNotFound, and the call itself
-// succeeds.
+// TestFetchManyPartialMissOverWire drives hand-built opFetch frames
+// through the live daemon, one table case per window shape: whole
+// objects, misses, budgeted prefixes and refinement windows come back
+// byte-exact against the stored container; a miss under a different map
+// version comes back ItemStale; malformed windows fail per item while
+// the call itself — and the rest of its batch — succeeds.
 func TestFetchManyPartialMissOverWire(t *testing.T) {
-	bundle, want := buildBundle(t, dataset.Language, 6, 2, 2<<10, nil)
-	err := mpi.Run(2, func(c *mpi.Comm) error {
-		node, err := Mount(c, [][]byte{bundle.Scatter[c.Rank()]}, nil, Options{})
+	plain, want := buildBundle(t, dataset.Language, 6, 2, 2<<10, nil)
+	layered, _ := buildLayeredBundle(t, dataset.EM, 4, 2, 8<<10, 4)
+	// The responder's stored objects, keyed by path.
+	stored := make(map[string]*pack.Entry)
+	for _, blob := range [][]byte{plain.Scatter[1], layered.Scatter[1]} {
+		part, err := pack.Parse(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range part.Entries {
+			stored[part.Entries[i].Path] = &part.Entries[i]
+		}
+	}
+	p0, p1 := ownedPaths(t, plain.Scatter[1])[0], ownedPaths(t, plain.Scatter[1])[1]
+	lp := ownedPaths(t, layered.Scatter[1])[0]
+	ix, ok, err := stored[lp].LayerIndex()
+	if err != nil || !ok {
+		t.Fatalf("layered entry index: ok=%v err=%v", ok, err)
+	}
+	whole := func(path string) []byte { return stored[path].Data }
+
+	type wantItem struct {
+		status byte
+		bytes  []byte // expected window bytes of an OK item
+	}
+	cases := []struct {
+		name    string
+		version uint64
+		items   []fetchItem
+		want    []wantItem
+	}{
+		{"whole object", 1, []fetchItem{{path: p0, to: FidelityFull}},
+			[]wantItem{{rpc.ItemOK, whole(p0)}}},
+		{"miss", 1, []fetchItem{{path: "missing/object", to: FidelityFull}},
+			[]wantItem{{status: rpc.ItemNotFound}}},
+		{"batch with partial miss", 1, []fetchItem{{path: p0, to: FidelityFull}, {path: "missing/object", to: FidelityFull}, {path: p1, to: FidelityFull}},
+			[]wantItem{{rpc.ItemOK, whole(p0)}, {status: rpc.ItemNotFound}, {rpc.ItemOK, whole(p1)}}},
+		{"layer-budget prefix", 1, []fetchItem{{path: lp, to: 1}},
+			[]wantItem{{rpc.ItemOK, whole(lp)[:ix.PrefixSize(1)]}}},
+		{"budget past the last layer", 1, []fetchItem{{path: lp, to: 9}},
+			[]wantItem{{rpc.ItemOK, whole(lp)}}},
+		{"refinement window", 1, []fetchItem{{path: lp, from: 1, to: 3}},
+			[]wantItem{{rpc.ItemOK, whole(lp)[ix.PrefixSize(1):ix.PrefixSize(3)]}}},
+		{"version-mismatched miss", 2, []fetchItem{{path: "missing/object", to: FidelityFull}, {path: p0, to: FidelityFull}},
+			[]wantItem{{status: rpc.ItemStale}, {rpc.ItemOK, whole(p0)}}},
+		{"refinement of an unlayered object", 1, []fetchItem{{path: p0, from: 1, to: 2}},
+			[]wantItem{{status: rpc.ItemError}}},
+		{"inverted window", 1, []fetchItem{{path: lp, from: 2, to: 1}},
+			[]wantItem{{status: rpc.ItemError}}},
+		{"empty window", 1, []fetchItem{{path: lp, from: 2, to: 2}},
+			[]wantItem{{status: rpc.ItemError}}},
+		{"window past the last layer", 1, []fetchItem{{path: lp, from: 4, to: FidelityFull}},
+			[]wantItem{{status: rpc.ItemError}}},
+	}
+
+	err = mpi.Run(2, func(c *mpi.Comm) error {
+		parts := [][]byte{plain.Scatter[c.Rank()], layered.Scatter[c.Rank()]}
+		node, err := Mount(c, parts, nil, Options{})
 		if err != nil {
 			return err
 		}
@@ -136,10 +194,38 @@ func TestFetchManyPartialMissOverWire(t *testing.T) {
 		if c.Rank() != 0 {
 			return nil
 		}
-		remote := ownedPaths(t, bundle.Scatter[1])
-		keys := []string{remote[0], "missing/object", remote[1]}
-		req := append([]byte{opFetchMany}, rpc.EncodeKeys(keys)...)
-		resp, err := node.client.Call(1, req)
+		for _, tc := range cases {
+			resp, err := node.client.Call(1, appendFetchRequest(nil, tc.version, tc.items))
+			if err != nil {
+				return fmt.Errorf("%s: %w", tc.name, err)
+			}
+			items, err := rpc.DecodeItems(resp)
+			if err != nil {
+				return fmt.Errorf("%s: %w", tc.name, err)
+			}
+			if len(items) != len(tc.want) {
+				return fmt.Errorf("%s: got %d items for %d windows", tc.name, len(items), len(tc.want))
+			}
+			for i, w := range tc.want {
+				it := items[i]
+				if it.Status != w.status {
+					return fmt.Errorf("%s: item %d: status %d, want %d (%s)", tc.name, i, it.Status, w.status, it.Payload)
+				}
+				if w.status != rpc.ItemOK {
+					continue
+				}
+				e := stored[tc.items[i].path]
+				if len(it.Payload) < 2 || binary.LittleEndian.Uint16(it.Payload) != e.CompressorID {
+					return fmt.Errorf("%s: item %d: bad compressor header", tc.name, i)
+				}
+				if !bytes.Equal(it.Payload[2:], w.bytes) {
+					return fmt.Errorf("%s: item %d: %d window bytes differ from the stored container's %d", tc.name, i, len(it.Payload)-2, len(w.bytes))
+				}
+			}
+		}
+
+		// A whole object off the wire decodes to the original file.
+		resp, err := node.client.Call(1, appendFetchRequest(nil, 1, []fetchItem{{path: p0, to: FidelityFull}}))
 		if err != nil {
 			return err
 		}
@@ -147,25 +233,13 @@ func TestFetchManyPartialMissOverWire(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if len(items) != len(keys) {
-			return fmt.Errorf("got %d items for %d keys", len(items), len(keys))
+		m := &FileMeta{Path: p0, Size: int64(len(want[p0]))}
+		data, _, err := node.decompress(m, binary.LittleEndian.Uint16(items[0].Payload), items[0].Payload[2:], decomp.PriOpen, FidelityFull)
+		if err != nil {
+			return err
 		}
-		if items[1].Status != rpc.ItemNotFound {
-			return fmt.Errorf("miss came back status %d", items[1].Status)
-		}
-		for _, i := range []int{0, 2} {
-			if items[i].Status != rpc.ItemOK || len(items[i].Payload) < 2 {
-				return fmt.Errorf("item %d: %+v", i, items[i])
-			}
-			m := &FileMeta{Path: keys[i], Size: int64(len(want[keys[i]]))}
-			id := uint16(items[i].Payload[0]) | uint16(items[i].Payload[1])<<8
-			data, _, err := node.decompress(m, id, items[i].Payload[2:], decomp.PriOpen, FidelityFull)
-			if err != nil {
-				return fmt.Errorf("item %d: %w", i, err)
-			}
-			if !bytes.Equal(data, want[keys[i]]) {
-				return fmt.Errorf("item %d: content mismatch", i)
-			}
+		if !bytes.Equal(data, want[p0]) {
+			return fmt.Errorf("whole object: content mismatch")
 		}
 		return nil
 	})

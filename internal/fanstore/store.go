@@ -56,68 +56,10 @@ const (
 	tagRespBase  = 1 << 20
 )
 
-// Fetch request ops, the first byte of every tagFetch payload. All ops
-// are answered by the same daemon worker pool — rebalance partition
-// pulls deliberately share it with reads, so a handoff streams while
-// the cluster keeps serving.
-const (
-	// opFetchOne requests one object; the body is the path, the response
-	// payload is [u16 compressorID][compressed bytes].
-	opFetchOne = byte(0)
-	// opFetchMany requests a batch: the body is rpc.EncodeKeys(paths),
-	// the response an rpc.EncodeItems frame with per-item status, each
-	// OK payload shaped like an opFetchOne response. One round trip
-	// carries the whole look-ahead window.
-	opFetchMany = byte(1)
-	// opFetchOneV is the elastic opFetchOne: the body is
-	// [u64 mapVersion][path]. A server missing the object answers the
-	// stale status instead of not-found when its map version disagrees
-	// with the caller's — "I don't have it, and one of us is routing on
-	// an old map" — so the caller refreshes instead of burning failovers.
-	opFetchOneV = byte(2)
-	// opFetchPart requests a whole partition blob by its global id
-	// ([u64 gid]) — the rebalance transfer: the new owner pulls the blob
-	// from the old owner over the ordinary fetch pool while the old
-	// owner keeps serving its objects until the handoff commits.
-	opFetchPart = byte(3)
-	// opMetaSync requests one path's current metadata record from the
-	// coordinator (the stale-map refresh's metadata half); the response
-	// is encodeMetas of zero or one record.
-	opMetaSync = byte(4)
-	// opFetchShard requests every erasure shard of one partition held by
-	// the answering node ([u64 gid]); the response is a concatenation of
-	// pack shard frames. Degraded reads and shard repair gather through
-	// it (ec redundancy mode only).
-	opFetchShard = byte(5)
-	// opStoreShard delivers one or more shard frames for the answering
-	// node to hold — the shard-placement half of ec redundancy. Re-pushes
-	// of the same (gid, index) overwrite.
-	opStoreShard = byte(6)
-	// opFetchOneL is the budgeted opFetchOne: the body is
-	// [u8 level][path]. For a layered object the response payload is the
-	// container prefix covering the first `level` layers — the
-	// bandwidth-proportional read; unlayered objects (and level
-	// FidelityFull) answer the whole payload, exactly like opFetchOne.
-	opFetchOneL = byte(7)
-	// opFetchOneVL is the elastic budgeted fetch:
-	// [u64 mapVersion][u8 level][path], with opFetchOneV's stale-status
-	// semantics on a miss.
-	opFetchOneVL = byte(8)
-	// opFetchManyL is the budgeted opFetchMany: the body is
-	// rpc.EncodeKeysLevels(paths, levels) and each OK item is clipped to
-	// its per-item layer budget.
-	opFetchManyL = byte(9)
-	// opFetchRange requests raw payload bytes of one object:
-	// [u64 off][u32 len][path]. The response is the bytes themselves, no
-	// compressor header — the upgrade path uses it to pull only the
-	// refinement extents a cached lower-fidelity entry is missing.
-	opFetchRange = byte(10)
-)
-
-// batchGetConcurrency bounds concurrent backend reads inside one
-// FetchMany handler, so a batch over a spill backend overlaps its disk
-// reads instead of serializing them, without letting one huge batch
-// monopolize the backend.
+// batchGetConcurrency bounds concurrent backend reads inside one opFetch
+// batch, so a batch over a spill backend overlaps its disk reads instead
+// of serializing them, without letting one huge batch monopolize the
+// backend.
 const batchGetConcurrency = 8
 
 // Errors returned by the FS surface.
@@ -209,13 +151,15 @@ type Options struct {
 	// FetchTimeout bounds each remote fetch attempt (0: no deadline).
 	FetchTimeout time.Duration
 	// FetchRetries is how many extra attempts follow a timed-out or
-	// errored fetch to the same peer, before routing fails over to the
-	// next replica (default 0).
+	// errored fetch call to the same peer, before routing fails over to
+	// the next replica (default 0). A per-object failure the peer
+	// answers inside a successful call (say, its backend read failed)
+	// fails over at once.
 	FetchRetries int
 	// FetchBackoff is the pause before the first same-peer retry,
 	// doubling per attempt (default 0: immediate).
 	FetchBackoff time.Duration
-	// BatchItems bounds the objects carried by one FetchMany round trip;
+	// BatchItems bounds the objects carried by one batched fetch;
 	// larger prefetch groups are split into plan-sized calls so a whole-
 	// epoch window cannot build one monster frame (default
 	// rpc.DefaultBatchItems). Live-tunable: Node.SetBatchItems takes
@@ -318,7 +262,7 @@ type Stats struct {
 	BytesRead       int64
 	RemoteBytes     int64
 	Failovers       int64 // fetches re-routed to another replica after an error
-	BatchedFetches  int64 // FetchMany calls issued by this rank's prefetcher
+	BatchedFetches  int64 // batched fetch calls issued by this rank's prefetcher
 	PrefetchedOpens int64 // opens served by an entry Prefetch staged
 	// FetchCoalesced counts opens that joined another producer's
 	// in-flight fetch+decode instead of issuing their own (singleflight).
@@ -377,7 +321,7 @@ type Node struct {
 	inflightMu sync.Mutex
 	inflight   map[string]*flight
 	noCoalesce bool
-	// batchItems is the max objects per FetchMany call — atomic because
+	// batchItems is the max objects per batched fetch call — atomic because
 	// the autotuner retunes it mid-plan (SetBatchItems) while the
 	// prefetch path reads it per split.
 	batchItems atomic.Int64
@@ -739,61 +683,28 @@ func (n *Node) noteReplica(path string, rank int) {
 	m.Replicas = append(m.Replicas, int32(rank))
 }
 
-// handleFetch answers one peer fetch on a daemon worker, dispatching on
-// the op byte: a single-object request or a batched FetchMany. Unknown
-// single objects map to the transport's not-found status (the requester
-// fails over or surfaces ErrRemoteGone); batched misses are reported
-// per item.
+// handleFetch answers one peer request on a daemon worker, dispatching
+// on the op byte: opFetch for object data, or one of the four control
+// ops (rebalance pulls, metadata sync, shard gather and placement).
 func (n *Node) handleFetch(_ int, payload []byte) ([]byte, error) {
 	if len(payload) == 0 {
 		return nil, fmt.Errorf("fanstore: empty fetch frame")
 	}
+	body := payload[1:]
 	switch payload[0] {
-	case opFetchOne:
-		return n.fetchObject(string(payload[1:]))
-	case opFetchMany:
-		return n.handleFetchMany(payload[1:])
-	case opFetchOneV:
-		return n.handleFetchOneV(payload[1:])
+	case opFetch:
+		return n.serveFetch(body)
 	case opFetchPart:
-		return n.handleFetchPart(payload[1:])
+		return n.handleFetchPart(body)
 	case opMetaSync:
-		return n.handleMetaSync(payload[1:])
+		return n.handleMetaSync(body)
 	case opFetchShard:
-		return n.handleFetchShard(payload[1:])
+		return n.handleFetchShard(body)
 	case opStoreShard:
-		return n.handleStoreShard(payload[1:])
-	case opFetchOneL:
-		return n.handleFetchOneL(payload[1:])
-	case opFetchOneVL:
-		return n.handleFetchOneVL(payload[1:])
-	case opFetchManyL:
-		return n.handleFetchManyL(payload[1:])
-	case opFetchRange:
-		return n.handleFetchRange(payload[1:])
+		return n.handleStoreShard(body)
 	default:
 		return nil, fmt.Errorf("fanstore: unknown fetch op %d", payload[0])
 	}
-}
-
-// handleFetchOneV answers a versioned fetch. The version check only
-// triggers on a miss: while both sides agree on the map, or the object
-// is simply present, the op behaves exactly like opFetchOne. A miss
-// under version disagreement means the caller routed here on a map that
-// predates (or postdates) a rebalance — the stale status tells it to
-// refresh instead of failing over through dead routes.
-func (n *Node) handleFetchOneV(body []byte) ([]byte, error) {
-	if len(body) < 8 {
-		return nil, fmt.Errorf("fanstore: short versioned fetch frame")
-	}
-	callerVer := binary.LittleEndian.Uint64(body)
-	resp, err := n.fetchObject(string(body[8:]))
-	if err != nil && errors.Is(err, rpc.ErrNotFound) {
-		if have := n.view.Version(); have != callerVer {
-			return nil, fmt.Errorf("%w: have v%d, caller routed on v%d", rpc.ErrStale, have, callerVer)
-		}
-	}
-	return resp, err
 }
 
 // handleFetchPart streams one loaded partition blob to a new owner —
@@ -834,195 +745,102 @@ func (n *Node) handleMetaSync(body []byte) ([]byte, error) {
 	return append(decomp.GetBuf(len(enc)), enc...), nil
 }
 
-// fetchObject serves one object's compressed bytes as
-// [u16 compressorID][compressed bytes].
-func (n *Node) fetchObject(path string) ([]byte, error) {
+// servedItem is one answered window of an opFetch request: an OK
+// window's compressor and bytes, or a failure status and its text.
+type servedItem struct {
+	status byte
+	id     uint16
+	data   []byte
+}
+
+// serveFetch answers an opFetch request. Each item's object is looked up
+// — a one-item request inline, a batch with bounded concurrency so a cold
+// batch over the spill backend overlaps its disk reads — and the results
+// are appended straight into one pooled response frame in request order,
+// each OK payload shaped [u16 compressorID][window bytes]. A partial miss
+// never fails the whole batch.
+func (n *Node) serveFetch(body []byte) ([]byte, error) {
+	callerVer, items, err := decodeFetchRequest(body)
+	if err != nil {
+		return nil, err
+	}
+	served := make([]servedItem, len(items))
+	if len(items) == 1 {
+		served[0] = n.serveItem(items[0], callerVer)
+	} else {
+		sem := make(chan struct{}, batchGetConcurrency)
+		var wg sync.WaitGroup
+		for i := range items {
+			wg.Add(1)
+			sem <- struct{}{}
+			go func(i int) {
+				defer wg.Done()
+				defer func() { <-sem }()
+				served[i] = n.serveItem(items[i], callerVer)
+			}(i)
+		}
+		wg.Wait()
+	}
+	size := 4
+	for _, it := range served {
+		size += rpc.ItemHeaderLen + it.payloadLen()
+	}
+	out := rpc.AppendItemCount(decomp.GetBuf(size), len(served))
+	for _, it := range served {
+		n.server.CountItem(it.status)
+		out = rpc.AppendItemHeader(out, it.status, it.payloadLen())
+		if it.status == rpc.ItemOK {
+			out = binary.LittleEndian.AppendUint16(out, it.id)
+		}
+		out = append(out, it.data...)
+	}
+	return out, nil
+}
+
+// payloadLen is the item's framed payload size: an OK window carries a
+// u16 compressor header ahead of its bytes.
+func (it servedItem) payloadLen() int {
+	if it.status == rpc.ItemOK {
+		return 2 + len(it.data)
+	}
+	return len(it.data)
+}
+
+// serveItem looks up one requested window. A miss answers
+// rpc.ItemNotFound — or rpc.ItemStale when the caller's map version
+// differs from this node's: "I don't have it, and one of us is routing on
+// an old map", so the caller refreshes instead of burning failovers.
+// While both sides agree on the map, or the object is simply present,
+// the version plays no part.
+func (n *Node) serveItem(it fetchItem, callerVer uint64) servedItem {
+	id, data, err := n.lookupObject(it.path)
+	if err == nil {
+		data, err = cutWindow(id, data, it.from, it.to)
+	}
+	switch {
+	case err == nil:
+		return servedItem{status: rpc.ItemOK, id: id, data: data}
+	case !errors.Is(err, ErrNotExist):
+		return servedItem{status: rpc.ItemError, data: []byte(err.Error())}
+	}
+	if have := n.view.Version(); have != callerVer {
+		return servedItem{status: rpc.ItemStale, data: fmt.Appendf(nil, "have v%d, caller routed on v%d", have, callerVer)}
+	}
+	return servedItem{status: rpc.ItemNotFound}
+}
+
+// lookupObject returns one object's compressor and compressed bytes:
+// a written output file (stored uncompressed, framed as "store") or the
+// backend's copy. Misses wrap ErrNotExist.
+func (n *Node) lookupObject(path string) (uint16, []byte, error) {
 	n.mu.RLock()
 	wdata, written := n.writes[path]
 	n.mu.RUnlock()
 	if written && wdata != nil {
-		// Output files are stored uncompressed; frame them as "store",
-		// compressing straight into a pooled response frame.
-		resp := decomp.GetBuf(2 + len(wdata) + binary.MaxVarintLen64)[:2]
-		binary.LittleEndian.PutUint16(resp, codec.StoreID)
-		resp, err := codec.MustGet("store").Codec.Compress(resp, wdata)
-		if err != nil {
-			decomp.PutBuf(resp)
-			return nil, err
-		}
-		return resp, nil
+		comp, err := codec.MustGet("store").Codec.Compress(nil, wdata)
+		return codec.StoreID, comp, err
 	}
-	id, data, err := n.backend.Get(path)
-	if err != nil {
-		if errors.Is(err, ErrNotExist) {
-			return nil, rpc.ErrNotFound
-		}
-		return nil, err
-	}
-	resp := decomp.GetBuf(2 + len(data))[:2]
-	binary.LittleEndian.PutUint16(resp, id)
-	return append(resp, data...), nil
-}
-
-// fetchObjectBudget is fetchObject under a layer budget: a layered
-// object's payload is clipped to the container prefix covering the first
-// `level` layers — any prefix of layers decodes to a valid lower-fidelity
-// record, so the response is self-contained. Unlayered objects (written
-// files included) and the full-fidelity level answer whole.
-func (n *Node) fetchObjectBudget(path string, level uint8) ([]byte, error) {
-	resp, err := n.fetchObject(path)
-	if err != nil || level == 0 || level == FidelityFull || len(resp) < 2 {
-		return resp, err
-	}
-	id := binary.LittleEndian.Uint16(resp)
-	if !codec.IsLayered(id) {
-		return resp, nil
-	}
-	ix, perr := codec.ParseLayerIndex(resp[2:])
-	if perr != nil {
-		// A corrupt index would fail the client's decode anyway; answer
-		// whole so the error surfaces with full evidence.
-		return resp, nil
-	}
-	if k := int(level); k < ix.Layers() {
-		resp = resp[:2+ix.PrefixSize(k)]
-	}
-	return resp, nil
-}
-
-// handleFetchOneL answers a budgeted single fetch: [u8 level][path].
-func (n *Node) handleFetchOneL(body []byte) ([]byte, error) {
-	if len(body) < 1 {
-		return nil, fmt.Errorf("fanstore: short budgeted fetch frame")
-	}
-	return n.fetchObjectBudget(string(body[1:]), body[0])
-}
-
-// handleFetchOneVL answers the elastic budgeted fetch:
-// [u64 mapVersion][u8 level][path], with opFetchOneV's stale diagnosis
-// on a version-mismatched miss.
-func (n *Node) handleFetchOneVL(body []byte) ([]byte, error) {
-	if len(body) < 9 {
-		return nil, fmt.Errorf("fanstore: short versioned budgeted fetch frame")
-	}
-	callerVer := binary.LittleEndian.Uint64(body)
-	resp, err := n.fetchObjectBudget(string(body[9:]), body[8])
-	if err != nil && errors.Is(err, rpc.ErrNotFound) {
-		if have := n.view.Version(); have != callerVer {
-			return nil, fmt.Errorf("%w: have v%d, caller routed on v%d", rpc.ErrStale, have, callerVer)
-		}
-	}
-	return resp, err
-}
-
-// handleFetchManyL answers a budgeted batch: the body is
-// rpc.EncodeKeysLevels and every OK item is clipped to its own layer
-// budget, so one round trip carries a mixed-fidelity window.
-func (n *Node) handleFetchManyL(body []byte) ([]byte, error) {
-	paths, levels, err := rpc.DecodeKeysLevels(body)
-	if err != nil {
-		return nil, err
-	}
-	items := make([]rpc.Item, len(paths))
-	sem := make(chan struct{}, batchGetConcurrency)
-	var wg sync.WaitGroup
-	for i, path := range paths {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, path string, level uint8) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			payload, err := n.fetchObjectBudget(path, level)
-			switch {
-			case err == nil:
-				items[i] = rpc.Item{Status: rpc.ItemOK, Payload: payload}
-			case errors.Is(err, rpc.ErrNotFound):
-				items[i] = rpc.Item{Status: rpc.ItemNotFound}
-			default:
-				items[i] = rpc.Item{Status: rpc.ItemError, Payload: []byte(err.Error())}
-			}
-		}(i, path, levels[i])
-	}
-	wg.Wait()
-	out := rpc.EncodeItems(items)
-	for i := range items {
-		if items[i].Status == rpc.ItemOK {
-			decomp.PutBuf(items[i].Payload)
-			items[i].Payload = nil
-		}
-	}
-	return out, nil
-}
-
-// handleFetchRange answers a raw byte-range read of one object's payload:
-// [u64 off][u32 len][path] → the bytes themselves, no compressor header.
-// The upgrade path uses it to pull exactly the refinement extents a
-// cached lower-fidelity entry is missing.
-func (n *Node) handleFetchRange(body []byte) ([]byte, error) {
-	if len(body) < 12 {
-		return nil, fmt.Errorf("fanstore: short range fetch frame")
-	}
-	off := binary.LittleEndian.Uint64(body)
-	length := binary.LittleEndian.Uint32(body[8:])
-	path := string(body[12:])
-	id, data, err := n.backend.Get(path)
-	if err != nil {
-		if errors.Is(err, ErrNotExist) {
-			return nil, rpc.ErrNotFound
-		}
-		return nil, err
-	}
-	if !codec.IsLayered(id) {
-		return nil, fmt.Errorf("fanstore: range fetch of unlayered object %q", path)
-	}
-	end := off + uint64(length)
-	if end < off || end > uint64(len(data)) {
-		return nil, fmt.Errorf("fanstore: range [%d,%d) outside %q payload (%d bytes)", off, end, path, len(data))
-	}
-	resp := decomp.GetBuf(int(length))
-	return append(resp, data[off:end]...), nil
-}
-
-// handleFetchMany answers a batched fetch: every requested object is
-// read from the backend with bounded concurrency (a cold batch over the
-// spill backend overlaps its disk reads) and answered in request order
-// with per-item status, so a partial miss never fails the whole batch.
-func (n *Node) handleFetchMany(body []byte) ([]byte, error) {
-	paths, err := rpc.DecodeKeys(body)
-	if err != nil {
-		return nil, err
-	}
-	items := make([]rpc.Item, len(paths))
-	sem := make(chan struct{}, batchGetConcurrency)
-	var wg sync.WaitGroup
-	for i, path := range paths {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, path string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			payload, err := n.fetchObject(path)
-			switch {
-			case err == nil:
-				items[i] = rpc.Item{Status: rpc.ItemOK, Payload: payload}
-			case errors.Is(err, rpc.ErrNotFound):
-				items[i] = rpc.Item{Status: rpc.ItemNotFound}
-			default:
-				items[i] = rpc.Item{Status: rpc.ItemError, Payload: []byte(err.Error())}
-			}
-		}(i, path)
-	}
-	wg.Wait()
-	out := rpc.EncodeItems(items)
-	// EncodeItems copied every payload into the response frame; the
-	// per-item fetchObject frames are dead — recycle them.
-	for i := range items {
-		if items[i].Status == rpc.ItemOK {
-			decomp.PutBuf(items[i].Payload)
-			items[i].Payload = nil
-		}
-	}
-	return out, nil
+	return n.backend.Get(path)
 }
 
 // fetchCandidates lists the node IDs that can serve m's compressed
@@ -1074,8 +892,42 @@ func (n *Node) refreshRoutes(path string) *FileMeta {
 	return m
 }
 
+// fetchCall issues one opFetch request to dst — the only place a data
+// request is built — and returns one decoded item per requested window,
+// in request order. An OK item too short to carry its compressor header
+// comes back as an ItemError, so callers only branch on status.
+func (n *Node) fetchCall(dst int, items []fetchItem) ([]rpc.Item, error) {
+	req := appendFetchRequest(decomp.GetBuf(fetchRequestLen(items)), n.view.Version(), items)
+	resp, err := n.client.Call(dst, req)
+	decomp.PutBuf(req) // Call copied it into each attempt's send frame
+	if err != nil {
+		return nil, err
+	}
+	got, err := rpc.DecodeItems(resp)
+	if err != nil {
+		return nil, fmt.Errorf("rank %d: %w", dst, err)
+	}
+	if len(got) != len(items) {
+		return nil, fmt.Errorf("rank %d answered %d items for %d windows", dst, len(got), len(items))
+	}
+	for i := range got {
+		if got[i].Status == rpc.ItemOK && len(got[i].Payload) < 2 {
+			got[i] = rpc.Item{Status: rpc.ItemError, Payload: []byte("malformed object frame")}
+		}
+	}
+	return got, nil
+}
+
 // fetchRemote retrieves the compressed object for m over the interconnect
-// (§IV-C2) and returns (compressorID, compressed, outcome). Routing is
+// (§IV-C2) at layer budget level: 0 or FidelityFull fetches the whole
+// object, anything else the container prefix a fidelity-level reader
+// needs (see fetchLayers).
+func (n *Node) fetchRemote(m *FileMeta, level uint8) (uint16, []byte, trace.Outcome, error) {
+	return n.fetchLayers(m, 0, normalizeFidelity(level))
+}
+
+// fetchLayers retrieves the layer window [from, to) of m's compressed
+// object and returns (compressorID, bytes, outcome). Routing is
 // replica-aware: requests rotate across the owner and its replicas to
 // spread load, and an errored peer triggers failover to the next
 // candidate, so a lost rank degrades throughput instead of killing opens.
@@ -1083,16 +935,15 @@ func (n *Node) refreshRoutes(path string) *FileMeta {
 // one that needed failover, so the open span carries routing health.
 //
 // On an elastic mount candidates resolve through the cluster-map view,
-// and a version-mismatch answer (rpc.ErrStale, or an unresolvable node
+// and a version-mismatch answer (rpc.ItemStale, or an unresolvable node
 // ID) triggers a map-and-metadata refresh followed by re-resolution
 // against the refreshed record — not a failover: the object exists, the
 // route was just planned on an old map.
 //
-// level is the layer budget: 0 or FidelityFull fetches the whole object
-// with the classic ops; anything else rides the budgeted ops and the
-// server clips layered containers to the level's prefix. Bytes the clip
-// kept off the wire are credited to fetch.bytes.saved.
-func (n *Node) fetchRemote(m *FileMeta, level uint8) (uint16, []byte, trace.Outcome, error) {
+// Bytes a window kept off the wire, relative to the whole full-fidelity
+// object, are credited to fetch.bytes.saved. Only whole-object windows
+// (from == 0) fall back to an erasure-coded degraded read.
+func (n *Node) fetchLayers(m *FileMeta, from, to uint8) (uint16, []byte, trace.Outcome, error) {
 	start := time.Now()
 	tstart := n.tracer.Begin()
 	outcome := trace.OutcomeRemoteFetch
@@ -1133,35 +984,15 @@ func (n *Node) fetchRemote(m *FileMeta, level uint8) (uint16, []byte, trace.Outc
 				continue
 			}
 			attempts++
-			budgeted := level != 0 && level != FidelityFull
-			var req []byte
-			switch {
-			case n.elastic && budgeted:
-				req = make([]byte, 10, 10+len(path))
-				req[0] = opFetchOneVL
-				binary.LittleEndian.PutUint64(req[1:], n.view.Version())
-				req[9] = level
-			case n.elastic:
-				req = make([]byte, 9, 9+len(path))
-				req[0] = opFetchOneV
-				binary.LittleEndian.PutUint64(req[1:], n.view.Version())
-			case budgeted:
-				req = make([]byte, 2, 2+len(path))
-				req[0] = opFetchOneL
-				req[1] = level
-			default:
-				req = make([]byte, 1, 1+len(path))
-				req[0] = opFetchOne
+			got, err := n.fetchCall(dst, []fetchItem{{path: path, from: from, to: to}})
+			if err == nil && got[0].Status == rpc.ItemOK {
+				p := got[0].Payload
+				n.remoteBytes.Add(int64(len(p)))
+				n.creditBytesSaved(m, int64(len(p)-2))
+				return binary.LittleEndian.Uint16(p), p[2:], outcome, nil
 			}
-			resp, err := n.client.Call(dst, append(req, path...))
 			if err == nil {
-				if len(resp) < 2 {
-					lastErr = fmt.Errorf("rank %d sent a malformed object frame", dst)
-					continue
-				}
-				n.remoteBytes.Add(int64(len(resp)))
-				n.creditBytesSaved(m, int64(len(resp)-2))
-				return binary.LittleEndian.Uint16(resp), resp[2:], outcome, nil
+				err = fmt.Errorf("rank %d: %w", dst, got[0].Err())
 			}
 			lastErr = err
 			if errors.Is(err, mpi.ErrAborted) {
@@ -1212,7 +1043,7 @@ func (n *Node) fetchRemote(m *FileMeta, level uint8) (uint16, []byte, trace.Outc
 	// the partition is still recoverable while at least k shards survive:
 	// reconstruct it and serve the read degraded. This is the path that
 	// keeps reads flowing between a rank dying and the repair commit.
-	if n.ec != nil && m.PartGID != 0 && !aborted {
+	if n.ec != nil && m.PartGID != 0 && !aborted && from == 0 {
 		if id, comp, err := n.ecDegradedObject(m); err == nil {
 			n.remoteBytes.Add(int64(len(comp)))
 			outcome = trace.OutcomeDegraded
@@ -1234,57 +1065,16 @@ func (n *Node) fetchRemote(m *FileMeta, level uint8) (uint16, []byte, trace.Outc
 	return 0, nil, outcome, fmt.Errorf("%w: %v", ErrRemoteGone, lastErr)
 }
 
-// creditBytesSaved accounts a budgeted fetch's dividend: the container
-// bytes a whole-object full-fidelity fetch of m would have moved, minus
-// what actually crossed the wire. No-op for unlayered objects and
-// unclipped responses.
+// creditBytesSaved accounts a layer window's dividend — a budgeted
+// prefix or an upgrade's refinement: the container bytes a whole-object
+// full-fidelity fetch of m would have moved, minus what actually crossed
+// the wire. No-op for unlayered objects and unclipped responses.
 func (n *Node) creditBytesSaved(m *FileMeta, fetched int64) {
 	if L := m.Layers(); L > 0 {
 		if saved := int64(m.LayerPrefix[L-1]) - fetched; saved > 0 {
 			n.fetchBytesSaved.Add(saved)
 		}
 	}
-}
-
-// fetchRemoteRange pulls payload bytes [off, off+length) of m's layered
-// container — the refinement extents an upgrade is missing. It walks the
-// same rotated candidate list as fetchRemote but without the stale-map
-// recovery loop: an upgrade is an opportunistic fast path, so any failure
-// just returns and the caller falls back to a whole budgeted fetch (which
-// owns refresh and failover).
-func (n *Node) fetchRemoteRange(m *FileMeta, off int64, length int) ([]byte, error) {
-	cands := n.fetchCandidates(m)
-	if len(cands) == 0 {
-		return nil, fmt.Errorf("fanstore: no remote node serves %q", m.Path)
-	}
-	first := int(n.routeSeq.Add(1)) % len(cands)
-	var lastErr error
-	for i := 0; i < len(cands); i++ {
-		dst, err := n.view.Resolve(cands[(first+i)%len(cands)])
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		req := make([]byte, 13, 13+len(m.Path))
-		req[0] = opFetchRange
-		binary.LittleEndian.PutUint64(req[1:], uint64(off))
-		binary.LittleEndian.PutUint32(req[9:], uint32(length))
-		resp, err := n.client.Call(dst, append(req, m.Path...))
-		if err != nil {
-			lastErr = err
-			if errors.Is(err, mpi.ErrAborted) {
-				break
-			}
-			continue
-		}
-		if len(resp) != length {
-			lastErr = fmt.Errorf("fanstore: range fetch of %q returned %d bytes, want %d", m.Path, len(resp), length)
-			continue
-		}
-		n.remoteBytes.Add(int64(len(resp)))
-		return resp, nil
-	}
-	return nil, fmt.Errorf("%w: %v", ErrRemoteGone, lastErr)
 }
 
 // prefetchTarget is one not-yet-staged remote object being walked
@@ -1303,7 +1093,7 @@ type prefetchTarget struct {
 // Prefetch stages an upcoming access window (the sampler's next
 // iterations) into the decompressed cache ahead of the consumer: paths
 // that are neither local, cached, nor already being opened are grouped
-// by replica owner, each group is fetched with one FetchMany round trip
+// by replica owner, each group is fetched with one batched round trip
 // — issued concurrently across owners — and the decompressed results
 // are inserted unpinned (InsertIdle), so prefetched-but-unopened files
 // stay evictable and a canceled epoch cannot wedge the pool. It is
@@ -1426,49 +1216,34 @@ func (n *Node) PrefetchFidelity(paths []string, level uint8) int {
 	return staged
 }
 
-// prefetchFrom fetches group from dst with as many plan-sized FetchMany
+// prefetchFrom fetches group from dst with as many plan-sized opFetch
 // calls as BatchItems requires — an epoch-scale plan batch cannot build
 // one monster frame — and returns the targets dst could not serve so
 // the caller can fail over.
 func (n *Node) prefetchFrom(dst int, group []*prefetchTarget, level uint8) (staged int, failed []*prefetchTarget) {
-	keys := make([]string, len(group))
-	for i, t := range group {
-		keys[i] = t.m.Path
-	}
-	off := 0
 	// The split size is read live: a mid-plan SetBatchItems (the
 	// autotuner's fetch-shape knob) reshapes the very next call.
-	for _, chunk := range rpc.SplitKeys(keys, n.BatchItems()) {
-		ok, f := n.prefetchChunk(dst, chunk, group[off:off+len(chunk)], level)
-		off += len(chunk)
+	for _, chunk := range rpc.SplitKeys(group, n.BatchItems()) {
+		ok, f := n.prefetchChunk(dst, chunk, level)
 		staged += ok
 		failed = append(failed, f...)
 	}
 	return staged, failed
 }
 
-// prefetchChunk issues one FetchMany call to dst for one plan-sized
-// slice of targets, decompresses and stages what came back, and
-// finishes the flight of every staged target so coalesced opens
-// unblock as soon as their object lands.
-func (n *Node) prefetchChunk(dst int, keys []string, group []*prefetchTarget, level uint8) (staged int, failed []*prefetchTarget) {
-	var req []byte
-	if level != FidelityFull {
-		levels := make([]uint8, len(keys))
-		for i := range levels {
-			levels[i] = level
-		}
-		req = append([]byte{opFetchManyL}, rpc.EncodeKeysLevels(keys, levels)...)
-	} else {
-		req = append([]byte{opFetchMany}, rpc.EncodeKeys(keys)...)
+// prefetchChunk issues one batched opFetch call to dst for one plan-sized
+// slice of targets — each item the level-layer prefix of its object —
+// decompresses and stages what came back, and finishes the flight of
+// every staged target so coalesced opens unblock as soon as their object
+// lands.
+func (n *Node) prefetchChunk(dst int, group []*prefetchTarget, level uint8) (staged int, failed []*prefetchTarget) {
+	req := make([]fetchItem, len(group))
+	for i, t := range group {
+		req[i] = fetchItem{path: t.m.Path, to: level}
 	}
 	n.batchedFetches.Inc()
-	resp, err := n.client.Call(dst, req)
+	items, err := n.fetchCall(dst, req)
 	if err != nil {
-		return 0, group
-	}
-	items, err := rpc.DecodeItems(resp)
-	if err != nil || len(items) != len(group) {
 		return 0, group
 	}
 	// Fan the batch out across the decode pool at prefetch priority: the
@@ -1479,7 +1254,7 @@ func (n *Node) prefetchChunk(dst int, keys []string, group []*prefetchTarget, le
 	var wg sync.WaitGroup
 	for i := range items {
 		it := &items[i]
-		if it.Status != rpc.ItemOK || len(it.Payload) < 2 {
+		if it.Status != rpc.ItemOK {
 			continue
 		}
 		n.remoteBytes.Add(int64(len(it.Payload)))
@@ -1497,7 +1272,7 @@ func (n *Node) prefetchChunk(dst int, keys []string, group []*prefetchTarget, le
 	wg.Wait()
 	for i, it := range items {
 		t := group[i]
-		if it.Status != rpc.ItemOK || len(it.Payload) < 2 || decoded[i] == nil {
+		if it.Status != rpc.ItemOK || decoded[i] == nil {
 			failed = append(failed, t)
 			continue
 		}
@@ -1680,12 +1455,12 @@ func (n *Node) produceBytes(m *FileMeta, level uint8) (data []byte, pinned bool,
 }
 
 // upgradeInPlace promotes an already-cached lower-fidelity entry to want
-// by fetching only the missing refinement extents: the byte range
-// [LayerPrefix[have-1], LayerPrefix[want-1]) of the container, each body
-// decoded and XORed onto a copy of the cached base. On success the
-// upgraded bytes replace the entry and return pinned. Any miss — no base
-// cached, no extent table, a range-fetch or decode failure — reports
-// ok=false and the caller performs a whole budgeted fetch. Opportunistic
+// by fetching only the missing refinement extents — the layer window
+// [have, want), routed like any other fetch — each body decoded and
+// XORed onto a copy of the cached base. On success the upgraded bytes
+// replace the entry and return pinned. Any miss — no base cached, no
+// extent table, a window-fetch or decode failure — reports ok=false and
+// the caller performs a whole budgeted fetch. Opportunistic
 // and lossless: the base entry stays pinned (so untouched and valid)
 // until the upgraded copy is built from it.
 func (n *Node) upgradeInPlace(m *FileMeta, want uint8) (data []byte, ok bool) {
@@ -1705,10 +1480,12 @@ func (n *Node) upgradeInPlace(m *FileMeta, want uint8) (data []byte, ok bool) {
 	if want == FidelityFull || to > L {
 		to = L
 	}
-	from := int(have) // have < want <= FidelityFull and have != FidelityFull ⇒ a real level ≥ 1
+	// have < want <= FidelityFull and have != FidelityFull ⇒ a real level
+	// >= 1, so the window [have, want) is exactly the missing refinement.
+	from := int(have)
 	off := int64(m.LayerPrefix[from-1])
-	raw, err := n.fetchRemoteRange(m, off, int(int64(m.LayerPrefix[to-1])-off))
-	if err != nil {
+	_, raw, _, err := n.fetchLayers(m, have, want)
+	if err != nil || int64(len(raw)) != int64(m.LayerPrefix[to-1])-off {
 		n.cache.Release(m.Path)
 		return nil, false
 	}
@@ -1731,11 +1508,6 @@ func (n *Node) upgradeInPlace(m *FileMeta, want uint8) (data []byte, ok bool) {
 	if err != nil {
 		decomp.PutBuf(out)
 		return nil, false
-	}
-	// Relative to a whole full-fidelity fetch: the upgrade skipped both
-	// the base prefix it reused from the cache and any layers past want.
-	if saved := int64(m.LayerPrefix[L-1]) - int64(len(raw)); saved > 0 {
-		n.fetchBytesSaved.Add(saved)
 	}
 	n.fetchUpgrades.Inc()
 	n.fidelityHist.Observe(time.Duration(to) * time.Microsecond)

@@ -2,8 +2,10 @@ package member
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fanstore/internal/mpi"
@@ -31,6 +33,12 @@ const (
 // instead of hangs.
 const ackTimeout = 30 * time.Second
 
+// ErrCoordinatorClosed reports a join or leave the coordinator refused
+// because its cluster has shut down. A closed coordinator still answers
+// every request — immediately, with its final map — so members fail
+// fast with this error instead of waiting out ackTimeout.
+var ErrCoordinatorClosed = errors.New("member: coordinator closed")
+
 // Coordinator owns the cluster map: it serializes mutations, bumps the
 // version on every change, and broadcasts the new map to all alive
 // members. One coordinator runs per cluster (on the rank the drivers
@@ -44,9 +52,13 @@ type Coordinator struct {
 	cur    *ClusterMap
 	nextID NodeID
 
-	wg sync.WaitGroup
+	// closing is closed once serve has answered every request queued
+	// ahead of Close and switched to closed-mode replies.
+	closing chan struct{}
 
-	events *obs.EventLog // nil unless the ops plane is enabled
+	// events is shared with the coordinator's Membership handle, whose
+	// SetEvents may run after serve has started reading it.
+	events *atomic.Pointer[obs.EventLog]
 }
 
 // Membership is one node's handle on the elastic cluster: its stable ID,
@@ -63,20 +75,15 @@ type Membership struct {
 	wg     sync.WaitGroup
 	closed sync.Once
 
-	events *obs.EventLog // nil unless the ops plane is enabled
+	events atomic.Pointer[obs.EventLog] // nil unless the ops plane is enabled
 }
 
 // SetEvents attaches an ops-plane event log: the coordinator reports
 // joins and leaves as it admits them; a member reports each map
 // version it installs from a broadcast. nil (the default) keeps the
-// membership protocol event-free at zero cost. Call before traffic —
-// the listener reads the field without synchronization.
-func (m *Membership) SetEvents(ev *obs.EventLog) {
-	m.events = ev
-	if m.coord != nil {
-		m.coord.events = ev
-	}
-}
+// membership protocol event-free at zero cost. Safe to call while the
+// listener and the coordinator's serve loop are already running.
+func (m *Membership) SetEvents(ev *obs.EventLog) { m.events.Store(ev) }
 
 // StartCoordinator creates the cluster with this rank as coordinator and
 // first member (ID 0, version 1) and starts the request serve loop. The
@@ -84,10 +91,11 @@ func (m *Membership) SetEvents(ev *obs.EventLog) {
 // cluster shuts down.
 func StartCoordinator(comm *mpi.Comm) *Membership {
 	cur := &ClusterMap{Version: 1, Nodes: []Node{{ID: 0, Rank: comm.Rank(), State: StateAlive}}}
-	c := &Coordinator{comm: comm, cur: cur, nextID: 1, view: NewView(cur)}
-	c.wg.Add(1)
+	c := &Coordinator{comm: comm, cur: cur, nextID: 1, view: NewView(cur), closing: make(chan struct{})}
+	m := &Membership{id: 0, comm: comm, coordRank: comm.Rank(), view: c.view, coord: c}
+	c.events = &m.events
 	go c.serve()
-	return &Membership{id: 0, comm: comm, coordRank: comm.Rank(), view: c.view, coord: c}
+	return m
 }
 
 // Join admits this rank to the cluster run by the coordinator rank and
@@ -105,6 +113,9 @@ func Join(comm *mpi.Comm, coordRank int) (*Membership, error) {
 		return nil, fmt.Errorf("member: join: short reply")
 	}
 	id := NodeID(int32(binary.LittleEndian.Uint32(resp)))
+	if id == NoNode {
+		return nil, fmt.Errorf("member: join: %w", ErrCoordinatorClosed)
+	}
 	m, err := DecodeMap(resp[4:])
 	if err != nil {
 		return nil, fmt.Errorf("member: join: %w", err)
@@ -125,8 +136,8 @@ func (m *Membership) listen() {
 			return
 		}
 		if cm, err := DecodeMap(data); err == nil {
-			if m.view.Update(cm) && m.events.Enabled() {
-				m.events.Emitf(obs.EvMapChange, obs.SevInfo,
+			if ev := m.events.Load(); m.view.Update(cm) && ev.Enabled() {
+				ev.Emitf(obs.EvMapChange, obs.SevInfo,
 					"cluster map v%d installed from broadcast (%d members)", cm.Version, len(cm.Nodes))
 			}
 		}
@@ -152,7 +163,8 @@ func (m *Membership) Transport() *Transport {
 }
 
 // Sync pulls the coordinator's current map, updates the view, and
-// returns it — the refresh a StaleMapError asks for.
+// returns it — the refresh a StaleMapError asks for. A closed
+// coordinator answers with its final map, which can no longer change.
 func (m *Membership) Sync() (*ClusterMap, error) {
 	if m.coord != nil {
 		return m.view.Map(), nil
@@ -174,7 +186,9 @@ func (m *Membership) Sync() (*ClusterMap, error) {
 
 // Leave removes this node from the map (coordinator broadcast included)
 // and stops the listener. The caller must have drained its data first —
-// the map does not move partitions, the store's rebalance does.
+// the map does not move partitions, the store's rebalance does. If the
+// coordinator has closed, the listener still stops but the node stays in
+// the final map and Leave returns ErrCoordinatorClosed.
 func (m *Membership) Leave() error {
 	if m.coord != nil {
 		return fmt.Errorf("member: the coordinator cannot leave its own cluster")
@@ -189,20 +203,32 @@ func (m *Membership) Leave() error {
 	if err != nil {
 		return fmt.Errorf("member: leave: %w", err)
 	}
+	var refused bool
 	if cm, err := DecodeMap(resp); err == nil {
 		m.view.Update(cm)
+		// A live coordinator acks a leave with a map that no longer
+		// holds the node; only a closed one leaves it in place.
+		_, refused = cm.Lookup(m.id)
 	}
 	m.Close()
+	if refused {
+		return fmt.Errorf("member: leave: %w", ErrCoordinatorClosed)
+	}
 	return nil
 }
 
-// Close stops the listener (members) or the serve loop (coordinator).
+// Close stops the listener (members) or shuts the cluster down
+// (coordinator). A closed coordinator accepts no more joins or leaves,
+// but its serve loop keeps answering late requests with the final map
+// until the communicator shuts down, so a member still syncing when the
+// coordinator closes gets an answer, not a timeout.
 // Idempotent; safe after a world abort.
 func (m *Membership) Close() {
 	m.closed.Do(func() {
 		if m.coord != nil {
-			_ = m.comm.Send(m.comm.Rank(), tagMemberReq, nil)
-			m.coord.wg.Wait()
+			if m.comm.Send(m.comm.Rank(), tagMemberReq, nil) == nil {
+				<-m.coord.closing
+			}
 			return
 		}
 		_ = m.comm.Send(m.comm.Rank(), tagMemberMap, nil)
@@ -212,19 +238,39 @@ func (m *Membership) Close() {
 
 // serve is the coordinator's request loop: joins, leaves, and syncs are
 // serialized here, so every map mutation is totally ordered and each
-// broadcast carries a strictly newer version.
+// broadcast carries a strictly newer version. Close's self-addressed
+// empty frame switches it to closed mode (see answerClosed); it returns
+// only when the communicator shuts down.
 func (c *Coordinator) serve() {
-	defer c.wg.Done()
+	closed := false
 	for {
 		data, src, err := c.comm.Recv(mpi.AnySource, tagMemberReq)
-		if err != nil || len(data) == 0 {
+		if err != nil {
+			if !closed {
+				close(c.closing)
+			}
 			return
+		}
+		if len(data) == 0 && src == c.comm.Rank() {
+			if !closed {
+				closed = true
+				close(c.closing)
+			}
+			continue
+		}
+		if closed {
+			c.answerClosed(src, data)
+			continue
+		}
+		if len(data) == 0 {
+			_ = c.comm.Send(src, tagMemberAck, c.view.Map().Encode())
+			continue
 		}
 		switch data[0] {
 		case opJoin:
 			id, m := c.admit(src)
-			if c.events.Enabled() {
-				c.events.Emitf(obs.EvMemberJoin, obs.SevInfo,
+			if ev := c.events.Load(); ev.Enabled() {
+				ev.Emitf(obs.EvMemberJoin, obs.SevInfo,
 					"node %v joined at rank %d (map v%d, %d members)", id, src, m.Version, len(m.Nodes))
 			}
 			reply := make([]byte, 4, 4+12)
@@ -240,8 +286,8 @@ func (c *Coordinator) serve() {
 			}
 			id := NodeID(int32(binary.LittleEndian.Uint32(data[1:])))
 			m := c.remove(id)
-			if c.events.Enabled() {
-				c.events.Emitf(obs.EvMemberLeave, obs.SevInfo,
+			if ev := c.events.Load(); ev.Enabled() {
+				ev.Emitf(obs.EvMemberLeave, obs.SevInfo,
 					"node %v left (map v%d, %d members)", id, m.Version, len(m.Nodes))
 			}
 			_ = c.comm.Send(src, tagMemberAck, m.Encode())
@@ -254,6 +300,20 @@ func (c *Coordinator) serve() {
 			_ = c.comm.Send(src, tagMemberAck, c.view.Map().Encode())
 		}
 	}
+}
+
+// answerClosed replies to a request that reached a closed coordinator:
+// a join gets the NoNode id (Join turns it into ErrCoordinatorClosed),
+// everything else the final map, unchanged.
+func (c *Coordinator) answerClosed(src int, data []byte) {
+	final := c.view.Map().Encode()
+	if len(data) > 0 && data[0] == opJoin {
+		refused := NoNode
+		reply := binary.LittleEndian.AppendUint32(make([]byte, 0, 4+len(final)), uint32(refused))
+		_ = c.comm.Send(src, tagMemberAck, append(reply, final...))
+		return
+	}
+	_ = c.comm.Send(src, tagMemberAck, final)
 }
 
 // admit adds a new alive member and publishes the bumped map.

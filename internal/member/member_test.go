@@ -253,3 +253,74 @@ func TestConcurrentJoins(t *testing.T) {
 		}
 	}
 }
+
+// TestCoordinatorCloseFailsFast pins the shutdown ordering: requests that
+// reach a closed coordinator are answered at once — a late Sync with the
+// final map, a late Join or Leave with ErrCoordinatorClosed — instead of
+// leaving the member to wait out ackTimeout.
+func TestCoordinatorCloseFailsFast(t *testing.T) {
+	const tagClosed = 777
+	err := mpi.Run(3, func(c *mpi.Comm) error {
+		switch c.Rank() {
+		case 0:
+			mem := StartCoordinator(c)
+			for {
+				m, err := mem.Sync()
+				if err != nil {
+					return err
+				}
+				if len(m.Alive()) == 2 {
+					break
+				}
+			}
+			mem.Close()
+			for _, r := range []int{1, 2} {
+				if err := c.Send(r, tagClosed, nil); err != nil {
+					return err
+				}
+			}
+			return nil
+		case 1:
+			mem, err := Join(c, 0)
+			if err != nil {
+				return err
+			}
+			if _, _, err := c.Recv(0, tagClosed); err != nil {
+				return err
+			}
+			start := time.Now()
+			m, err := mem.Sync()
+			if err != nil {
+				return fmt.Errorf("sync after close: %w", err)
+			}
+			if len(m.Alive()) != 2 || m.Version != 2 {
+				return fmt.Errorf("sync after close: final map %+v", m)
+			}
+			if err := mem.Leave(); !errors.Is(err, ErrCoordinatorClosed) {
+				return fmt.Errorf("leave after close: %v, want ErrCoordinatorClosed", err)
+			}
+			if _, ok := mem.View().Map().Lookup(mem.ID()); !ok {
+				return fmt.Errorf("refused leave dropped the node from the view")
+			}
+			if d := time.Since(start); d > ackTimeout/2 {
+				return fmt.Errorf("closed coordinator took %v to answer", d)
+			}
+			return nil
+		default:
+			if _, _, err := c.Recv(0, tagClosed); err != nil {
+				return err
+			}
+			start := time.Now()
+			if _, err := Join(c, 0); !errors.Is(err, ErrCoordinatorClosed) {
+				return fmt.Errorf("join after close: %v, want ErrCoordinatorClosed", err)
+			}
+			if d := time.Since(start); d > ackTimeout/2 {
+				return fmt.Errorf("closed coordinator took %v to answer", d)
+			}
+			return nil
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -5,15 +5,16 @@ import (
 	"fmt"
 )
 
-// Multi-object frames. A batched request carries N object keys in one
+// Multi-object response frames. A batched fetch carries N objects in one
 // round trip and the response carries N independently-statused items, so
 // a partial miss (some keys absent from the peer's backend) degrades to
 // per-item not-found instead of poisoning the whole batch. The Server
 // does not interpret these frames — they ride inside the ordinary
-// request/response payloads — but both daemon sides use this encoding,
-// so it lives with the wire layer.
+// response payload — but every batched responder and caller shares the
+// encoding, so it lives with the wire layer. The request side belongs to
+// the store, which alone knows what an item asks for (see fanstore's
+// opFetch).
 //
-// Key frame:   u32 count | (u32 len | bytes)*
 // Item frame:  u32 count | (u8 status | u32 len | bytes)*
 
 // DefaultBatchItems is the default ceiling on keys per batched call.
@@ -22,17 +23,18 @@ import (
 // neither builds a monster frame nor monopolizes a daemon worker.
 const DefaultBatchItems = 64
 
-// SplitKeys cuts keys into consecutive plan-sized slices of at most max
-// keys each (one slice per batched call). The slices alias the input.
-// A non-positive max means no splitting.
-func SplitKeys(keys []string, max int) [][]string {
+// SplitKeys cuts keys (object keys, or whatever a caller tracks per
+// key) into consecutive plan-sized slices of at most max each — one
+// slice per batched call. The slices alias the input. A non-positive max
+// means no splitting.
+func SplitKeys[K any](keys []K, max int) [][]K {
 	if len(keys) == 0 {
 		return nil
 	}
 	if max <= 0 || len(keys) <= max {
-		return [][]string{keys}
+		return [][]K{keys}
 	}
-	out := make([][]string, 0, (len(keys)+max-1)/max)
+	out := make([][]K, 0, (len(keys)+max-1)/max)
 	for len(keys) > max {
 		out = append(out, keys[:max])
 		keys = keys[max:]
@@ -50,7 +52,14 @@ const (
 	// ItemError marks a per-item handler failure; the payload carries
 	// the error text.
 	ItemError = byte(2)
+	// ItemStale marks a miss under a cluster-map version disagreement:
+	// the responder lacks the key and routed on a different map than
+	// the caller. The payload carries the responder's explanation.
+	ItemStale = byte(3)
 )
+
+// ItemHeaderLen is the per-item framing overhead (status + length).
+const ItemHeaderLen = 5
 
 // Item is one object of a batched response.
 type Item struct {
@@ -58,101 +67,35 @@ type Item struct {
 	Payload []byte
 }
 
-// EncodeKeys serializes object keys into one batched request payload.
-func EncodeKeys(keys []string) []byte {
-	n := 4
-	for _, k := range keys {
-		n += 4 + len(k)
+// Err maps the item's status onto the call-level error families routing
+// layers branch on: nil for ItemOK, ErrNotFound for a miss, ErrStale for
+// a version-mismatched miss, ErrRemote (with the carried text) for
+// anything else.
+func (it Item) Err() error {
+	switch it.Status {
+	case ItemOK:
+		return nil
+	case ItemNotFound:
+		return ErrNotFound
+	case ItemStale:
+		return fmt.Errorf("%w: %s", ErrStale, it.Payload)
+	default:
+		return fmt.Errorf("%w: %s", ErrRemote, it.Payload)
 	}
-	out := make([]byte, 4, n)
-	binary.LittleEndian.PutUint32(out, uint32(len(keys)))
-	for _, k := range keys {
-		var l [4]byte
-		binary.LittleEndian.PutUint32(l[:], uint32(len(k)))
-		out = append(out, l[:]...)
-		out = append(out, k...)
-	}
-	return out
 }
 
-// DecodeKeys parses a batched request payload back into object keys.
-func DecodeKeys(p []byte) ([]string, error) {
-	if len(p) < 4 {
-		return nil, fmt.Errorf("rpc: batch key frame truncated (%d bytes)", len(p))
-	}
-	count := int(binary.LittleEndian.Uint32(p))
-	p = p[4:]
-	keys := make([]string, 0, count)
-	for i := 0; i < count; i++ {
-		if len(p) < 4 {
-			return nil, fmt.Errorf("rpc: batch key %d: length truncated", i)
-		}
-		l := int(binary.LittleEndian.Uint32(p))
-		p = p[4:]
-		if len(p) < l {
-			return nil, fmt.Errorf("rpc: batch key %d: %d bytes declared, %d remain", i, l, len(p))
-		}
-		keys = append(keys, string(p[:l]))
-		p = p[l:]
-	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("rpc: batch key frame has %d trailing bytes", len(p))
-	}
-	return keys, nil
+// AppendItemCount starts an item frame of count items in dst.
+func AppendItemCount(dst []byte, count int) []byte {
+	return binary.LittleEndian.AppendUint32(dst, uint32(count))
 }
 
-// EncodeKeysLevels serializes object keys with a per-item fidelity budget
-// (the max layer count a budgeted fetch should return; fanstore's
-// FidelityFull sentinel means the whole object). Layout:
-// u32 count | (u8 level | u32 len | bytes)*.
-func EncodeKeysLevels(keys []string, levels []uint8) []byte {
-	n := 4
-	for _, k := range keys {
-		n += 5 + len(k)
-	}
-	out := make([]byte, 4, n)
-	binary.LittleEndian.PutUint32(out, uint32(len(keys)))
-	for i, k := range keys {
-		lvl := uint8(0xFF)
-		if i < len(levels) {
-			lvl = levels[i]
-		}
-		out = append(out, lvl)
-		var l [4]byte
-		binary.LittleEndian.PutUint32(l[:], uint32(len(k)))
-		out = append(out, l[:]...)
-		out = append(out, k...)
-	}
-	return out
-}
-
-// DecodeKeysLevels parses a leveled batched request payload.
-func DecodeKeysLevels(p []byte) ([]string, []uint8, error) {
-	if len(p) < 4 {
-		return nil, nil, fmt.Errorf("rpc: leveled key frame truncated (%d bytes)", len(p))
-	}
-	count := int(binary.LittleEndian.Uint32(p))
-	p = p[4:]
-	keys := make([]string, 0, count)
-	levels := make([]uint8, 0, count)
-	for i := 0; i < count; i++ {
-		if len(p) < 5 {
-			return nil, nil, fmt.Errorf("rpc: leveled key %d: header truncated", i)
-		}
-		lvl := p[0]
-		l := int(binary.LittleEndian.Uint32(p[1:]))
-		p = p[5:]
-		if len(p) < l {
-			return nil, nil, fmt.Errorf("rpc: leveled key %d: %d bytes declared, %d remain", i, l, len(p))
-		}
-		keys = append(keys, string(p[:l]))
-		levels = append(levels, lvl)
-		p = p[l:]
-	}
-	if len(p) != 0 {
-		return nil, nil, fmt.Errorf("rpc: leveled key frame has %d trailing bytes", len(p))
-	}
-	return keys, levels, nil
+// AppendItemHeader appends one item's status and payload length; the
+// caller appends exactly n payload bytes next. Responders that assemble
+// a payload from parts (a header plus a slice of a stored object) write
+// it straight into the frame this way instead of staging a copy.
+func AppendItemHeader(dst []byte, status byte, n int) []byte {
+	dst = append(dst, status)
+	return binary.LittleEndian.AppendUint32(dst, uint32(n))
 }
 
 // EncodeItems serializes a batched response, one status-framed item per
@@ -160,35 +103,33 @@ func DecodeKeysLevels(p []byte) ([]string, []uint8, error) {
 func EncodeItems(items []Item) []byte {
 	n := 4
 	for i := range items {
-		n += 5 + len(items[i].Payload)
+		n += ItemHeaderLen + len(items[i].Payload)
 	}
-	out := make([]byte, 4, n)
-	binary.LittleEndian.PutUint32(out, uint32(len(items)))
+	out := AppendItemCount(make([]byte, 0, n), len(items))
 	for i := range items {
-		out = append(out, items[i].Status)
-		var l [4]byte
-		binary.LittleEndian.PutUint32(l[:], uint32(len(items[i].Payload)))
-		out = append(out, l[:]...)
+		out = AppendItemHeader(out, items[i].Status, len(items[i].Payload))
 		out = append(out, items[i].Payload...)
 	}
 	return out
 }
 
-// DecodeItems parses a batched response payload.
+// DecodeItems parses a batched response payload. Item payloads alias p.
 func DecodeItems(p []byte) ([]Item, error) {
 	if len(p) < 4 {
 		return nil, fmt.Errorf("rpc: batch item frame truncated (%d bytes)", len(p))
 	}
 	count := int(binary.LittleEndian.Uint32(p))
 	p = p[4:]
-	items := make([]Item, 0, count)
+	// The count is untrusted: never preallocate more items than the
+	// remaining bytes could possibly frame.
+	items := make([]Item, 0, min(count, len(p)/ItemHeaderLen))
 	for i := 0; i < count; i++ {
-		if len(p) < 5 {
+		if len(p) < ItemHeaderLen {
 			return nil, fmt.Errorf("rpc: batch item %d: header truncated", i)
 		}
 		status := p[0]
 		l := int(binary.LittleEndian.Uint32(p[1:]))
-		p = p[5:]
+		p = p[ItemHeaderLen:]
 		if len(p) < l {
 			return nil, fmt.Errorf("rpc: batch item %d: %d bytes declared, %d remain", i, l, len(p))
 		}

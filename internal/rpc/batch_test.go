@@ -2,35 +2,12 @@ package rpc
 
 import (
 	"bytes"
-	"reflect"
+	"errors"
+	"strings"
 	"testing"
 
 	"fanstore/internal/mpi"
 )
-
-func TestBatchKeyFrameRoundTrip(t *testing.T) {
-	cases := [][]string{
-		nil,
-		{},
-		{""},
-		{"a"},
-		{"dir/file-000.tif", "dir/file-001.tif", "", "x/y/z"},
-	}
-	for _, keys := range cases {
-		got, err := DecodeKeys(EncodeKeys(keys))
-		if err != nil {
-			t.Fatalf("%v: %v", keys, err)
-		}
-		if len(got) != len(keys) {
-			t.Fatalf("%v: decoded %d keys", keys, len(got))
-		}
-		for i := range keys {
-			if got[i] != keys[i] {
-				t.Fatalf("key %d: %q != %q", i, got[i], keys[i])
-			}
-		}
-	}
-}
 
 func TestBatchItemFrameRoundTrip(t *testing.T) {
 	items := []Item{
@@ -57,14 +34,8 @@ func TestBatchItemFrameRoundTrip(t *testing.T) {
 }
 
 func TestBatchFrameMalformed(t *testing.T) {
-	if _, err := DecodeKeys(nil); err == nil {
-		t.Fatal("nil key frame decoded")
-	}
-	if _, err := DecodeKeys([]byte{9, 0, 0, 0}); err == nil {
-		t.Fatal("truncated key frame decoded")
-	}
-	if _, err := DecodeKeys(append(EncodeKeys([]string{"a"}), 0xFF)); err == nil {
-		t.Fatal("trailing bytes accepted in key frame")
+	if _, err := DecodeItems(nil); err == nil {
+		t.Fatal("nil item frame decoded")
 	}
 	if _, err := DecodeItems([]byte{1, 0}); err == nil {
 		t.Fatal("truncated item frame decoded")
@@ -74,6 +45,11 @@ func TestBatchFrameMalformed(t *testing.T) {
 	}
 	if _, err := DecodeItems(append(EncodeItems([]Item{{Status: ItemOK}}), 0)); err == nil {
 		t.Fatal("trailing bytes accepted in item frame")
+	}
+	// A huge declared count with nothing behind it must fail on the
+	// missing bytes, not preallocate ~268M items first.
+	if _, err := DecodeItems([]byte{0xff, 0xff, 0xff, 0x0f}); err == nil {
+		t.Fatal("huge-count item frame decoded")
 	}
 }
 
@@ -86,10 +62,7 @@ func TestBatchedCallPartialMiss(t *testing.T) {
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		if c.Rank() == 1 {
 			s := serveOn(c, func(_ int, req []byte) ([]byte, error) {
-				keys, err := DecodeKeys(req)
-				if err != nil {
-					return nil, err
-				}
+				keys := strings.Split(string(req), ",")
 				items := make([]Item, len(keys))
 				for i, k := range keys {
 					if v, ok := objects[k]; ok {
@@ -107,7 +80,7 @@ func TestBatchedCallPartialMiss(t *testing.T) {
 			return nil
 		}
 		cl := NewClient(c, 500, 1<<20, ClientOptions{})
-		resp, err := cl.Call(1, EncodeKeys([]string{"a", "b", "c"}))
+		resp, err := cl.Call(1, []byte("a,b,c"))
 		if err != nil {
 			return err
 		}
@@ -121,7 +94,7 @@ func TestBatchedCallPartialMiss(t *testing.T) {
 		if items[0].Status != ItemOK || string(items[0].Payload) != "alpha" {
 			t.Fatalf("item 0: %+v", items[0])
 		}
-		if items[1].Status != ItemNotFound {
+		if items[1].Status != ItemNotFound || !errors.Is(items[1].Err(), ErrNotFound) {
 			t.Fatalf("item 1 (the miss): status %d", items[1].Status)
 		}
 		if items[2].Status != ItemOK || string(items[2].Payload) != "gamma" {
@@ -131,34 +104,5 @@ func TestBatchedCallPartialMiss(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestLeveledKeyFrameRoundTrip(t *testing.T) {
-	keys := []string{"train/a", "train/b", "", "train/long/path/c"}
-	levels := []uint8{1, 2, 0xFF, 3}
-	p := EncodeKeysLevels(keys, levels)
-	gotKeys, gotLevels, err := DecodeKeysLevels(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotKeys, keys) || !reflect.DeepEqual(gotLevels, levels) {
-		t.Fatalf("round trip: %v %v", gotKeys, gotLevels)
-	}
-
-	// A short levels slice pads with the full-fidelity sentinel.
-	p = EncodeKeysLevels(keys, levels[:1])
-	_, gotLevels, err = DecodeKeysLevels(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotLevels[0] != 1 || gotLevels[1] != 0xFF || gotLevels[3] != 0xFF {
-		t.Fatalf("padding: %v", gotLevels)
-	}
-
-	for _, bad := range [][]byte{nil, {1}, {1, 0, 0, 0, 2}, append(EncodeKeysLevels(keys, levels), 9)} {
-		if _, _, err := DecodeKeysLevels(bad); err == nil {
-			t.Fatalf("malformed frame %v accepted", bad)
-		}
 	}
 }

@@ -37,10 +37,10 @@ const (
 	statusOK       = 0
 	statusNotFound = 1
 	statusError    = 2
-	statusStale    = 3
 )
 
-// Errors surfaced by Client.Call.
+// Errors surfaced by Client.Call and, per item of a batched response,
+// by Item.Err.
 var (
 	// ErrNotFound reports the handler had no object for the request.
 	// It is terminal: the same peer will keep not having it, so Call
@@ -51,16 +51,15 @@ var (
 	// ErrTimeout reports that an attempt exceeded its deadline.
 	ErrTimeout = errors.New("rpc: call timed out")
 	// ErrStale reports a cluster-map version disagreement between caller
-	// and handler. Terminal for this call: the caller must refresh its
-	// map (and usually its routing metadata) before re-resolving the
-	// route — blind retries against the same peer cannot converge.
+	// and responder (an ItemStale item). The caller must refresh its map
+	// (and usually its routing metadata) before re-resolving the route —
+	// blind retries against the same peer cannot converge.
 	ErrStale = errors.New("rpc: stale cluster map")
 )
 
 // Handler services one request and returns the response payload.
-// Returning an error wrapping ErrNotFound maps to a not-found status,
-// one wrapping ErrStale maps to a stale-map status; any other error
-// maps to a remote-error status carrying the text.
+// Returning an error wrapping ErrNotFound maps to a not-found status;
+// any other error maps to a remote-error status carrying the text.
 //
 // Buffer ownership: req is only valid for the duration of the call —
 // the server recycles the request frame into the shared buffer pool
@@ -87,11 +86,13 @@ type ServerOptions struct {
 	Metrics *metrics.Registry
 }
 
-// ServerStats snapshots the daemon-side counters.
+// ServerStats snapshots the daemon-side counters. A batched answer
+// counts as served; its failed items count as not-found or errors (see
+// Server.CountItem), so a partial miss stays visible.
 type ServerStats struct {
 	Served       int64 // requests answered successfully
-	NotFound     int64 // requests answered with a not-found status
-	Errors       int64 // requests answered with an error status
+	NotFound     int64 // requests or items answered not-found
+	Errors       int64 // requests or items answered with an error (or stale) status
 	QueueDepth   int32 // requests currently waiting for a worker
 	MaxQueue     int32 // high-water mark of QueueDepth
 	InService    int32 // requests currently inside a handler
@@ -218,15 +219,6 @@ func (s *Server) answer(req request) {
 	case errors.Is(err, ErrNotFound):
 		resp = []byte{statusNotFound}
 		s.notFound.Inc()
-	case errors.Is(err, ErrStale):
-		// The payload carries the handler's map version (if it chose to
-		// include one via the error text); status alone is what routing
-		// layers branch on.
-		msg := err.Error()
-		resp = make([]byte, 1, 1+len(msg))
-		resp[0] = statusStale
-		resp = append(resp, msg...)
-		s.errors.Inc()
 	default:
 		msg := err.Error()
 		resp = make([]byte, 1, 1+len(msg))
@@ -238,6 +230,19 @@ func (s *Server) answer(req request) {
 	// response buffer can recycle immediately.
 	_ = s.comm.Send(req.src, req.respTag, resp)
 	decomp.PutBuf(resp)
+}
+
+// CountItem records one item of a batched answer: a non-OK status lands
+// in the not-found or error counter, exactly as a failed call would.
+// Handlers that answer with item frames call it per item.
+func (s *Server) CountItem(status byte) {
+	switch status {
+	case ItemOK:
+	case ItemNotFound:
+		s.notFound.Inc()
+	default:
+		s.errors.Inc()
+	}
 }
 
 // Stop unblocks Serve with a self-addressed shutdown pill and waits for
@@ -274,8 +279,8 @@ type ClientOptions struct {
 	// Timeout bounds each attempt (0 means block until the reply).
 	Timeout time.Duration
 	// Retries is how many extra attempts follow a timed-out or
-	// remote-errored attempt. Not-found, stale-map, and world-abort
-	// errors are terminal and never retried.
+	// remote-errored attempt. Not-found and world-abort errors are
+	// terminal and never retried.
 	Retries int
 	// Backoff is the pause before the first retry; it doubles per
 	// attempt. 0 means retry immediately.
@@ -343,7 +348,7 @@ func (c *Client) Call(dst int, req []byte) ([]byte, error) {
 			return resp, nil
 		}
 		lastErr = err
-		if errors.Is(err, ErrNotFound) || errors.Is(err, ErrStale) || errors.Is(err, mpi.ErrAborted) {
+		if errors.Is(err, ErrNotFound) || errors.Is(err, mpi.ErrAborted) {
 			break // terminal: retrying the same peer cannot help
 		}
 	}
@@ -381,8 +386,6 @@ func (c *Client) attempt(dst int, req []byte) ([]byte, error) {
 		return resp[1:], nil
 	case statusNotFound:
 		return nil, fmt.Errorf("%w: rank %d", ErrNotFound, dst)
-	case statusStale:
-		return nil, fmt.Errorf("%w: rank %d: %s", ErrStale, dst, resp[1:])
 	default:
 		return nil, fmt.Errorf("%w: rank %d: %s", ErrRemote, dst, resp[1:])
 	}

@@ -99,15 +99,16 @@ func TestNotFoundAndRemoteError(t *testing.T) {
 	}
 }
 
-// TestStaleStatus checks a handler returning ErrStale surfaces as a
-// terminal (non-retried) ErrStale on the caller, carrying the text.
+// TestStaleStatus checks a stale-map miss travels as a per-item
+// ItemStale status inside a successful call — never a retried call-level
+// failure — and surfaces through Item.Err as ErrStale carrying the text.
 func TestStaleStatus(t *testing.T) {
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		if c.Rank() == 1 {
 			var calls atomic.Int32
 			s := serveOn(c, func(_ int, _ []byte) ([]byte, error) {
 				calls.Add(1)
-				return nil, fmt.Errorf("%w: have v3, got v2", ErrStale)
+				return EncodeItems([]Item{{Status: ItemStale, Payload: []byte("have v3, got v2")}}), nil
 			}, ServerOptions{})
 			if err := c.Barrier(); err != nil {
 				return err
@@ -119,8 +120,15 @@ func TestStaleStatus(t *testing.T) {
 			return nil
 		}
 		cl := NewClient(c, 500, 1<<20, ClientOptions{Retries: 3})
-		_, err := cl.Call(1, []byte("read"))
-		if !errors.Is(err, ErrStale) || !strings.Contains(err.Error(), "have v3") {
+		resp, err := cl.Call(1, []byte("read"))
+		if err != nil {
+			return err
+		}
+		items, err := DecodeItems(resp)
+		if err != nil || len(items) != 1 {
+			return fmt.Errorf("decode: %v (%d items)", err, len(items))
+		}
+		if err := items[0].Err(); !errors.Is(err, ErrStale) || !strings.Contains(err.Error(), "have v3") {
 			return fmt.Errorf("stale: %v", err)
 		}
 		if st := cl.Stats(); st.Retries != 0 {
