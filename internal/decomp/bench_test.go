@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"fanstore/internal/bufpool"
 	"fanstore/internal/codec"
 )
 
@@ -42,11 +43,11 @@ func BenchmarkBatchDecodeSerial(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, comp := range items {
-			out, err := codec.DecompressScratch(c, s, GetBuf(size), comp)
+			out, err := codec.DecompressScratch(c, s, bufpool.Get(size), comp)
 			if err != nil {
 				b.Fatal(err)
 			}
-			PutBuf(out)
+			bufpool.Put(out)
 		}
 	}
 }
@@ -66,11 +67,11 @@ func BenchmarkBatchDecodePooled(b *testing.B) {
 			comp := comp
 			wg.Add(1)
 			p.Submit(PriPrefetch, &wg, func(s *codec.Scratch) {
-				out, err := codec.DecompressScratch(c, s, GetBuf(size), comp)
+				out, err := codec.DecompressScratch(c, s, bufpool.Get(size), comp)
 				if err != nil {
 					b.Error(err)
 				}
-				PutBuf(out)
+				bufpool.Put(out)
 			})
 		}
 		wg.Wait()
@@ -78,9 +79,9 @@ func BenchmarkBatchDecodePooled(b *testing.B) {
 }
 
 // TestPooledDecodeAllocs is the zero-alloc gate on the pooled decode
-// path: with a warm scratch and a warm buffer class, GetBuf +
-// DecompressScratch + PutBuf must not allocate per decode beyond the one
-// interface box PutBuf pays to store a []byte in a sync.Pool.
+// path: with a warm scratch and a warm buffer class, bufpool.Get +
+// DecompressScratch + bufpool.Put must not allocate per decode beyond the one
+// interface box bufpool.Put pays to store a []byte in a sync.Pool.
 func TestPooledDecodeAllocs(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("race detector randomizes sync.Pool; pool determinism untestable")
@@ -93,11 +94,11 @@ func TestPooledDecodeAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		out, err := codec.DecompressScratch(c, s, GetBuf(size), comp)
+		out, err := codec.DecompressScratch(c, s, bufpool.Get(size), comp)
 		if err != nil || !bytes.Equal(out, want) {
 			t.Fatal("decode mismatch")
 		}
-		PutBuf(out)
+		bufpool.Put(out)
 	})
 	if allocs > 2 {
 		t.Fatalf("pooled huff decode allocates %.1f objects/op, want <= 2", allocs)

@@ -1,7 +1,7 @@
 // Package decomp is the decode engine of the FanStore hot path: a
 // bounded, two-priority worker pool that demand opens and the look-ahead
-// prefetcher share, plus the size-classed buffer pool (buf.go) feeding
-// decode outputs and RPC frames.
+// prefetcher share. Decode outputs come from the shared size-classed
+// buffer pool (internal/bufpool).
 //
 // The paper's bet (§IV-C, §VII-D) is that decompressing from node-local
 // memory beats shared-filesystem I/O — which only holds if decode

@@ -139,31 +139,3 @@ func TestCloseDrainsQueued(t *testing.T) {
 	}
 	p.Close() // second Close is a no-op
 }
-
-func TestGetBufCapacity(t *testing.T) {
-	for _, n := range []int{0, 1, 511, 512, 513, 4096, 1 << 20, (1 << 26) + 1} {
-		b := GetBuf(n)
-		if len(b) != 0 {
-			t.Fatalf("GetBuf(%d): len %d, want 0", n, len(b))
-		}
-		if cap(b) < n {
-			t.Fatalf("GetBuf(%d): cap %d too small", n, cap(b))
-		}
-		PutBuf(b)
-	}
-	PutBuf(nil) // must not panic
-}
-
-// TestPutBufForeignFloorClass: a foreign buffer binned by floor class
-// must still satisfy the capacity guarantee of the Get that receives it.
-func TestPutBufForeignFloorClass(t *testing.T) {
-	// 768 floors to the 512 class: any GetBuf(n<=512) that receives it
-	// still has cap >= 512.
-	PutBuf(make([]byte, 0, 768))
-	for i := 0; i < 32; i++ {
-		b := GetBuf(512)
-		if cap(b) < 512 {
-			t.Fatalf("GetBuf(512) returned cap %d", cap(b))
-		}
-	}
-}

@@ -7,7 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"fanstore/internal/decomp"
+	"fanstore/internal/bufpool"
 	"fanstore/internal/metrics"
 	"fanstore/internal/obs"
 	"fanstore/internal/trace"
@@ -52,7 +52,7 @@ type cacheEntry struct {
 	// prefetched marks an entry staged by InsertIdle that has not been
 	// acquired yet; the first Acquire counts it as a prefetched open.
 	prefetched bool
-	// owned marks data as a decomp buffer-pool buffer the cache must
+	// owned marks data as a shared buffer-pool buffer the cache must
 	// recycle when the entry is removed with no readers left. Buffers
 	// the cache does not own (written files, test fixtures) are never
 	// recycled.
@@ -294,7 +294,7 @@ func (c *Cache) Insert(path string, data []byte) []byte {
 	return c.insert(path, data, false, FidelityFull)
 }
 
-// InsertOwned is Insert for a buffer drawn from the decomp buffer pool:
+// InsertOwned is Insert for a buffer drawn from the shared buffer pool:
 // ownership transfers to the cache, which recycles it when the entry is
 // removed with no readers, or immediately when an existing entry wins.
 func (c *Cache) InsertOwned(path string, data []byte) []byte {
@@ -340,7 +340,7 @@ func (c *Cache) insert(path string, data []byte, owned bool, fid uint8) []byte {
 			c.prefetchedHits.Inc()
 		}
 		if owned {
-			decomp.PutBuf(data) // the losing duplicate is dead
+			bufpool.Put(data) // the losing duplicate is dead
 		}
 		return canonical
 	}
@@ -375,7 +375,7 @@ func (c *Cache) replaceLocked(sh *cacheShard, e *cacheEntry, data []byte, owned 
 	sh.used += delta
 	c.used.Add(delta)
 	if e.owned && e.refs == 0 {
-		decomp.PutBuf(e.data)
+		bufpool.Put(e.data)
 	}
 	e.data = data
 	e.owned = owned
@@ -395,7 +395,7 @@ func (c *Cache) InsertIdle(path string, data []byte) bool {
 	return c.insertIdle(path, data, false, FidelityFull)
 }
 
-// InsertIdleOwned is InsertIdle for a decomp buffer-pool buffer; when an
+// InsertIdleOwned is InsertIdle for a shared buffer-pool buffer; when an
 // existing entry wins, the duplicate is recycled immediately.
 func (c *Cache) InsertIdleOwned(path string, data []byte) bool {
 	return c.insertIdle(path, data, true, FidelityFull)
@@ -415,7 +415,7 @@ func (c *Cache) insertIdle(path string, data []byte, owned bool, fid uint8) bool
 		if e.fidelity >= fid {
 			sh.mu.Unlock()
 			if owned {
-				decomp.PutBuf(data)
+				bufpool.Put(data)
 			}
 			return false
 		}
@@ -501,7 +501,7 @@ func (c *Cache) removeLocked(sh *cacheShard, e *cacheEntry) {
 		c.staged.Add(-int64(len(e.data)))
 	}
 	if e.owned {
-		decomp.PutBuf(e.data)
+		bufpool.Put(e.data)
 		e.data = nil
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"sync"
 	"testing"
 
-	"fanstore/internal/decomp"
+	"fanstore/internal/bufpool"
 )
 
 // TestCacheShardRounding: explicit shard counts round up to a power of
@@ -171,18 +171,18 @@ func TestCacheOwnedBufferRecycledOnEvict(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	c := NewCacheShards(1<<20, Immediate, 1)
-	buf := decomp.GetBuf(8 << 10)
+	buf := bufpool.Get(8 << 10)
 	buf = append(buf, make([]byte, 8<<10)...)
 	c.InsertOwned("f", buf)
 	c.Release("f") // Immediate: refs==0 drops the entry and recycles
 	if c.Contains("f") {
 		t.Fatal("immediate policy kept the entry")
 	}
-	got := decomp.GetBuf(8 << 10)
+	got := bufpool.Get(8 << 10)
 	if !samePtr(got, buf) {
 		t.Fatal("owned evicted buffer did not return through the pool")
 	}
-	decomp.PutBuf(got)
+	bufpool.Put(got)
 }
 
 // TestCacheInsertRaceLoserRecycled: the duplicate buffer that loses an
@@ -194,16 +194,16 @@ func TestCacheInsertRaceLoserRecycled(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	c := NewCacheShards(1<<20, FIFO, 1)
 	c.Insert("f", []byte("winner"))
-	loser := decomp.GetBuf(8 << 10)
+	loser := bufpool.Get(8 << 10)
 	loser = append(loser, make([]byte, 8<<10)...)
 	if got := c.InsertOwned("f", loser); samePtr(got, loser) {
 		t.Fatal("losing duplicate became canonical")
 	}
-	back := decomp.GetBuf(8 << 10)
+	back := bufpool.Get(8 << 10)
 	if !samePtr(back, loser) {
 		t.Fatal("losing duplicate was not recycled")
 	}
-	decomp.PutBuf(back)
+	bufpool.Put(back)
 }
 
 // TestCachePinnedBufferNeverRecycled: a pinned owned entry survives
@@ -216,12 +216,12 @@ func TestCachePinnedBufferNeverRecycled(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const size = 8 << 10
 	c := NewCacheShards(2*size, FIFO, 1) // room for two entries
-	pinned := decomp.GetBuf(size)
+	pinned := bufpool.Get(size)
 	pinned = append(pinned, make([]byte, size)...)
 	c.InsertOwned("pinned", pinned) // stays pinned for the whole test
 	for i := 0; i < 4; i++ {
 		p := fmt.Sprintf("churn-%d", i)
-		fill := decomp.GetBuf(size)
+		fill := bufpool.Get(size)
 		fill = append(fill, make([]byte, size)...)
 		c.InsertOwned(p, fill)
 		c.Release(p) // unpinned: evictable under pressure
@@ -231,11 +231,11 @@ func TestCachePinnedBufferNeverRecycled(t *testing.T) {
 	}
 	c.Release("pinned") // the Acquire's pin; insert pin still held
 	for i := 0; i < 16; i++ {
-		b := decomp.GetBuf(size)
+		b := bufpool.Get(size)
 		if samePtr(b, pinned) {
 			t.Fatal("pinned entry's buffer leaked into the pool")
 		}
-		defer decomp.PutBuf(b)
+		defer bufpool.Put(b)
 	}
 }
 

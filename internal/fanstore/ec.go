@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"fanstore/internal/bufpool"
 	"fanstore/internal/codec"
 	"fanstore/internal/decomp"
 	"fanstore/internal/ec"
@@ -169,14 +170,14 @@ func (n *Node) handleFetchShard(body []byte) ([]byte, error) {
 	for _, idx := range idxs {
 		size += pack.ShardFrameLen(len(set[uint8(idx)].data))
 	}
-	resp := decomp.GetBuf(size)
+	resp := rpc.NewReply(size)
 	for _, idx := range idxs {
 		sh := set[uint8(idx)]
 		resp = pack.MarshalShard(resp, sh.hdr, sh.data)
 	}
 	n.ec.mu.Unlock()
 	if len(idxs) == 0 {
-		decomp.PutBuf(resp)
+		bufpool.Put(resp)
 		return nil, fmt.Errorf("%w: no shards of partition %d", rpc.ErrNotFound, gid)
 	}
 	return resp, nil
@@ -201,8 +202,7 @@ func (n *Node) handleStoreShard(body []byte) ([]byte, error) {
 		}
 		n.ecStoreShard(sh)
 	}
-	resp := decomp.GetBuf(1)
-	return append(resp, 1), nil
+	return append(rpc.NewReply(1), 1), nil
 }
 
 // ecStoreShard copies one shard into the held set (the frame's backing
@@ -310,9 +310,11 @@ func (n *Node) ecPushPartition(cm *member.ClusterMap, p *nodePart, countRepair b
 		}
 		req := make([]byte, 1, 1+len(body))
 		req[0] = opStoreShard
-		if _, err := n.client.Call(rank, append(req, body...)); err != nil {
+		_, frame, err := n.client.Call(rank, append(req, body...))
+		if err != nil {
 			lastErr = err
 		}
+		bufpool.Put(frame)
 	}
 	return lastErr
 }

@@ -272,9 +272,7 @@ func MountElastic(comm *mpi.Comm, partitions [][]byte, opts ElasticOptions) (*No
 		go e.ctrlLoop(nil)
 	}
 
-	n.daemon.Add(1)
 	go n.server.Serve()
-	go n.serveWriteMeta()
 
 	if n.ec != nil {
 		// Initial shard placement: every owner splits its partitions into
@@ -320,9 +318,7 @@ func JoinCluster(comm *mpi.Comm, coordRank int, opts ElasticOptions) (*Node, err
 	// Announce; the coordinator replies with the table, then plans the
 	// rebalance. The fetch daemon must be serving before the table
 	// arrives — move pulls may target this node immediately after.
-	n.daemon.Add(1)
 	go n.server.Serve()
-	go n.serveWriteMeta()
 
 	var req [5]byte
 	req[0] = ctrlJoin
@@ -364,8 +360,6 @@ func JoinCluster(comm *mpi.Comm, coordRank int, opts ElasticOptions) (*Node, err
 		_ = mem.Leave()
 		mem.Close() // idempotent when Leave already closed
 		n.server.Stop()
-		_ = comm.Send(comm.Rank(), tagWriteMeta, nil)
-		n.daemon.Wait()
 		n.decode.Close()
 		_ = n.backend.Close()
 		return nil, fmt.Errorf("fanstore: join: rebalance commit did not arrive")
@@ -665,8 +659,9 @@ func (e *elasticCtrl) pullPartition(gid uint64, from member.NodeID) {
 		var req [9]byte
 		req[0] = opFetchPart
 		binary.LittleEndian.PutUint64(req[1:], gid)
-		if blob, err := e.n.client.Call(rank, req[:]); err == nil {
-			// The rpc frame is receiver-owned; the backend may alias it.
+		if blob, _, err := e.n.client.Call(rank, req[:]); err == nil {
+			// The reply frame is ours and never recycled: the backend
+			// aliases the blob for as long as it holds the partition.
 			if _, err := e.n.loadPartitionGID(gid, blob); err == nil {
 				e.rebalBytes.Add(int64(len(blob)))
 				ok = true
@@ -958,8 +953,6 @@ func (n *Node) closeElastic() error {
 	e.wg.Wait()
 	e.mem.Close()
 	n.server.Stop()
-	_ = n.comm.Send(n.comm.Rank(), tagWriteMeta, nil)
-	n.daemon.Wait()
 	n.decode.Close()
 	return n.backend.Close()
 }
@@ -1016,8 +1009,6 @@ func (n *Node) LeaveCluster() error {
 	_ = n.comm.Send(n.comm.Rank(), tagCtrl, nil)
 	e.wg.Wait()
 	n.server.Stop()
-	_ = n.comm.Send(n.comm.Rank(), tagWriteMeta, nil)
-	n.daemon.Wait()
 	n.decode.Close()
 	return n.backend.Close()
 }
@@ -1088,8 +1079,6 @@ func (n *Node) FailStop() {
 	if n.mem != nil {
 		n.mem.Close()
 	}
-	_ = n.comm.Send(n.comm.Rank(), tagWriteMeta, nil)
-	n.daemon.Wait()
 	n.decode.Close()
 	_ = n.backend.Close()
 }

@@ -7,8 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"fanstore/internal/bufpool"
 	"fanstore/internal/dataset"
-	"fanstore/internal/decomp"
 	"fanstore/internal/mpi"
 	"fanstore/internal/pack"
 )
@@ -281,7 +281,7 @@ func TestCacheFidelityUpgradeInvariants(t *testing.T) {
 	c := NewCache(1<<20, FIFO)
 	const path = "plane/obj"
 
-	base := decomp.GetBuf(4 << 10)
+	base := bufpool.Get(4 << 10)
 	for i := 0; i < 4<<10; i++ {
 		base = append(base, byte(i))
 	}
@@ -296,7 +296,7 @@ func TestCacheFidelityUpgradeInvariants(t *testing.T) {
 	// Upgrade in place while the base is pinned, then churn the buffer
 	// pool hard: if the old buffer were recycled mid-upgrade the pinned
 	// reader's bytes would be rewritten by the pool's next user.
-	upgraded := decomp.GetBuf(4 << 10)
+	upgraded := bufpool.Get(4 << 10)
 	upgraded = append(upgraded, snapshot...)
 	for i := range upgraded {
 		upgraded[i] ^= 0xA5
@@ -308,12 +308,12 @@ func TestCacheFidelityUpgradeInvariants(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				b := decomp.GetBuf(4 << 10)
+				b := bufpool.Get(4 << 10)
 				b = b[:cap(b)]
 				for j := range b {
 					b[j] = 0xFF
 				}
-				decomp.PutBuf(b)
+				bufpool.Put(b)
 				if data, _, ok := c.AcquireFidelity(path, 1); ok {
 					_ = data[0]
 					c.Release(path)
@@ -335,7 +335,7 @@ func TestCacheFidelityUpgradeInvariants(t *testing.T) {
 		t.Fatalf("fidelity %d after upgrade, want full", fid)
 	}
 	// A lower-fidelity insert must not downgrade the entry.
-	dup := decomp.GetBuf(4 << 10)
+	dup := bufpool.Get(4 << 10)
 	dup = append(dup, snapshot...)
 	if c.InsertIdleOwnedFidelity(path, dup, 1) {
 		t.Fatalf("idle insert downgraded a full-fidelity entry")

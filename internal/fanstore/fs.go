@@ -7,7 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"fanstore/internal/mpi"
+	"fanstore/internal/bufpool"
 	"fanstore/internal/trace"
 )
 
@@ -221,7 +221,10 @@ func (f *File) Close() error {
 }
 
 // seal commits a written file: dump the write-cache entry to the local
-// backend and forward the metadata record (§V-D, communication case 4).
+// backend and forward the metadata record to its home (§V-D,
+// communication case 4). The forward is an opWriteMeta call answered
+// once the home has the record, so a write that returned is visible to
+// a Stat on the home.
 func (n *Node) seal(path string, data []byte) error {
 	if data == nil {
 		data = []byte{}
@@ -242,7 +245,27 @@ func (n *Node) seal(path string, data []byte) error {
 	if home == n.comm.Rank() {
 		return nil
 	}
-	return n.comm.Send(home, tagWriteMeta, encodeMetas([]FileMeta{m}))
+	req := append([]byte{opWriteMeta}, encodeMetas([]FileMeta{m})...)
+	_, frame, err := n.client.Call(home, req)
+	bufpool.Put(frame)
+	if err != nil {
+		return fmt.Errorf("fanstore: forward metadata of %s to rank %d: %w", path, home, err)
+	}
+	return nil
+}
+
+// handleWriteMeta answers opWriteMeta: store the forwarded records in
+// this node's table (it is their metadata home) and ack with an empty
+// reply.
+func (n *Node) handleWriteMeta(body []byte) ([]byte, error) {
+	metas, err := decodeMetas(body)
+	if err != nil {
+		return nil, err
+	}
+	for i := range metas {
+		n.addMeta(metas[i])
+	}
+	return nil, nil
 }
 
 // metaHome maps a written file's path to the rank responsible for its
@@ -304,8 +327,7 @@ func (n *Node) ReadFile(path string) ([]byte, error) {
 		return nil, err
 	}
 	defer f.Close()
-	out := make([]byte, len(f.data))
-	copy(out, f.data)
+	out := append([]byte{}, f.data...) // no zeroing pass before the copy
 	n.bytesRead.Add(int64(len(out)))
 	n.readHist.Observe(time.Since(start))
 	n.tracer.End(trace.OpRead, path, trace.OutcomeNone, tstart)
@@ -324,25 +346,4 @@ func (n *Node) WriteFile(path string, data []byte) error {
 		return err
 	}
 	return f.Close()
-}
-
-// serveWriteMeta accepts forwarded write metadata (§V-D).
-func (n *Node) serveWriteMeta() {
-	defer n.daemon.Done()
-	for {
-		data, _, err := n.comm.Recv(mpi.AnySource, tagWriteMeta)
-		if err != nil {
-			return
-		}
-		if len(data) == 0 {
-			return // poison pill
-		}
-		metas, err := decodeMetas(data)
-		if err != nil {
-			continue // a malformed frame must not kill the daemon
-		}
-		for i := range metas {
-			n.addMeta(metas[i])
-		}
-	}
 }

@@ -15,7 +15,7 @@ import (
 )
 
 // Coordination tags for multi-rank tests; well away from the store's
-// tagFetch/tagWriteMeta/tagRing range and below tagRespBase.
+// tagFetch/tagRing/tagCtrl range and below tagRespBase.
 const (
 	tagTestGo   = 7000
 	tagTestDone = 7001

@@ -195,7 +195,7 @@ func TestFetchManyPartialMissOverWire(t *testing.T) {
 			return nil
 		}
 		for _, tc := range cases {
-			resp, err := node.client.Call(1, appendFetchRequest(nil, tc.version, tc.items))
+			resp, _, err := node.client.Call(1, appendFetchRequest(nil, tc.version, tc.items))
 			if err != nil {
 				return fmt.Errorf("%s: %w", tc.name, err)
 			}
@@ -225,7 +225,7 @@ func TestFetchManyPartialMissOverWire(t *testing.T) {
 		}
 
 		// A whole object off the wire decodes to the original file.
-		resp, err := node.client.Call(1, appendFetchRequest(nil, 1, []fetchItem{{path: p0, to: FidelityFull}}))
+		resp, _, err := node.client.Call(1, appendFetchRequest(nil, 1, []fetchItem{{path: p0, to: FidelityFull}}))
 		if err != nil {
 			return err
 		}

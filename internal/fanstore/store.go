@@ -35,6 +35,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"fanstore/internal/bufpool"
 	"fanstore/internal/codec"
 	"fanstore/internal/decomp"
 	"fanstore/internal/ec"
@@ -49,11 +50,10 @@ import (
 
 // Message tags used by the FanStore daemon protocol.
 const (
-	tagFetch     = 1000 // fetch request: rpc frame carrying an op + body
-	tagWriteMeta = 1001 // write metadata forward: encoded []FileMeta
-	tagRing      = 1002 // ring replication of extra partitions
-	tagCtrl      = 1003 // elastic control plane: join/rebalance/shutdown (elastic.go)
-	tagRespBase  = 1 << 20
+	tagFetch    = 1000 // fetch request: rpc frame carrying an op + body
+	tagRing     = 1002 // ring replication of extra partitions
+	tagCtrl     = 1003 // elastic control plane: join/rebalance/shutdown (elastic.go)
+	tagRespBase = 1 << 20
 )
 
 // batchGetConcurrency bounds concurrent backend reads inside one opFetch
@@ -334,7 +334,6 @@ type Node struct {
 
 	routeSeq atomic.Int64 // rotates fetch routing across owner+replicas
 	closed   atomic.Bool
-	daemon   sync.WaitGroup // the write-metadata service loop
 
 	// fidelity is the node's current layer budget for demand opens and
 	// default prefetches: 0 means full fidelity, k means "decode only the
@@ -571,9 +570,7 @@ func Mount(comm *mpi.Comm, partitions [][]byte, broadcast []byte, opts Options) 
 		}
 	}
 
-	n.daemon.Add(1)
 	go n.server.Serve()
-	go n.serveWriteMeta()
 	return n, nil
 }
 
@@ -684,8 +681,9 @@ func (n *Node) noteReplica(path string, rank int) {
 }
 
 // handleFetch answers one peer request on a daemon worker, dispatching
-// on the op byte: opFetch for object data, or one of the four control
-// ops (rebalance pulls, metadata sync, shard gather and placement).
+// on the op byte: opFetch for object data, or one of the five control
+// ops (rebalance pulls, metadata sync, shard gather and placement, and
+// write-metadata forwards).
 func (n *Node) handleFetch(_ int, payload []byte) ([]byte, error) {
 	if len(payload) == 0 {
 		return nil, fmt.Errorf("fanstore: empty fetch frame")
@@ -702,6 +700,8 @@ func (n *Node) handleFetch(_ int, payload []byte) ([]byte, error) {
 		return n.handleFetchShard(body)
 	case opStoreShard:
 		return n.handleStoreShard(body)
+	case opWriteMeta:
+		return n.handleWriteMeta(body)
 	default:
 		return nil, fmt.Errorf("fanstore: unknown fetch op %d", payload[0])
 	}
@@ -721,8 +721,7 @@ func (n *Node) handleFetchPart(body []byte) ([]byte, error) {
 	if p == nil {
 		return nil, fmt.Errorf("%w: partition %d", rpc.ErrNotFound, gid)
 	}
-	resp := decomp.GetBuf(len(p.blob))
-	return append(resp, p.blob...), nil
+	return append(rpc.NewReply(len(p.blob)), p.blob...), nil
 }
 
 // handleMetaSync answers a single-path metadata refresh from this
@@ -738,11 +737,12 @@ func (n *Node) handleMetaSync(body []byte) ([]byte, error) {
 		rec = *m
 	}
 	n.mu.RUnlock()
-	if !ok {
-		return append(decomp.GetBuf(4), encodeMetas(nil)...), nil
+	var recs []FileMeta
+	if ok {
+		recs = []FileMeta{rec}
 	}
-	enc := encodeMetas([]FileMeta{rec})
-	return append(decomp.GetBuf(len(enc)), enc...), nil
+	enc := encodeMetas(recs)
+	return append(rpc.NewReply(len(enc)), enc...), nil
 }
 
 // servedItem is one answered window of an opFetch request: an OK
@@ -756,7 +756,7 @@ type servedItem struct {
 // serveFetch answers an opFetch request. Each item's object is looked up
 // — a one-item request inline, a batch with bounded concurrency so a cold
 // batch over the spill backend overlaps its disk reads — and the results
-// are appended straight into one pooled response frame in request order,
+// are appended straight into one pooled reply frame in request order,
 // each OK payload shaped [u16 compressorID][window bytes]. A partial miss
 // never fails the whole batch.
 func (n *Node) serveFetch(body []byte) ([]byte, error) {
@@ -785,7 +785,7 @@ func (n *Node) serveFetch(body []byte) ([]byte, error) {
 	for _, it := range served {
 		size += rpc.ItemHeaderLen + it.payloadLen()
 	}
-	out := rpc.AppendItemCount(decomp.GetBuf(size), len(served))
+	out := rpc.AppendItemCount(rpc.NewReply(size), len(served))
 	for _, it := range served {
 		n.server.CountItem(it.status)
 		out = rpc.AppendItemHeader(out, it.status, it.payloadLen())
@@ -880,10 +880,11 @@ func (n *Node) refreshRoutes(path string) *FileMeta {
 	if coord != n.comm.Rank() {
 		req := make([]byte, 1, 1+len(path))
 		req[0] = opMetaSync
-		if resp, err := n.client.Call(coord, append(req, path...)); err == nil {
+		if resp, frame, err := n.client.Call(coord, append(req, path...)); err == nil {
 			if metas, err := decodeMetas(resp); err == nil && len(metas) == 1 {
 				n.addMeta(metas[0])
 			}
+			bufpool.Put(frame)
 		}
 	}
 	n.mu.RLock()
@@ -894,40 +895,56 @@ func (n *Node) refreshRoutes(path string) *FileMeta {
 
 // fetchCall issues one opFetch request to dst — the only place a data
 // request is built — and returns one decoded item per requested window,
-// in request order. An OK item too short to carry its compressor header
-// comes back as an ItemError, so callers only branch on status.
-func (n *Node) fetchCall(dst int, items []fetchItem) ([]rpc.Item, error) {
-	req := appendFetchRequest(decomp.GetBuf(fetchRequestLen(items)), n.view.Version(), items)
-	resp, err := n.client.Call(dst, req)
-	decomp.PutBuf(req) // Call copied it into each attempt's send frame
+// in request order, with the reply frame the item payloads alias. The
+// caller owns the frame and recycles it (bufpool.Put) once it is done
+// with every payload. An OK item too short to carry its compressor
+// header comes back as an ItemError, so callers only branch on status.
+func (n *Node) fetchCall(dst int, items []fetchItem) ([]rpc.Item, []byte, error) {
+	req := appendFetchRequest(bufpool.Get(fetchRequestLen(items)), n.view.Version(), items)
+	resp, frame, err := n.client.Call(dst, req)
+	bufpool.Put(req) // Call copied it into each attempt's send frame
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	got, err := rpc.DecodeItems(resp)
-	if err != nil {
-		return nil, fmt.Errorf("rank %d: %w", dst, err)
+	if err == nil && len(got) != len(items) {
+		err = fmt.Errorf("answered %d items for %d windows", len(got), len(items))
 	}
-	if len(got) != len(items) {
-		return nil, fmt.Errorf("rank %d answered %d items for %d windows", dst, len(got), len(items))
+	if err != nil {
+		bufpool.Put(frame)
+		return nil, nil, fmt.Errorf("rank %d: %w", dst, err)
 	}
 	for i := range got {
 		if got[i].Status == rpc.ItemOK && len(got[i].Payload) < 2 {
 			got[i] = rpc.Item{Status: rpc.ItemError, Payload: []byte("malformed object frame")}
 		}
 	}
-	return got, nil
+	return got, frame, nil
 }
 
 // fetchRemote retrieves the compressed object for m over the interconnect
 // (§IV-C2) at layer budget level: 0 or FidelityFull fetches the whole
 // object, anything else the container prefix a fidelity-level reader
 // needs (see fetchLayers).
-func (n *Node) fetchRemote(m *FileMeta, level uint8) (uint16, []byte, trace.Outcome, error) {
+func (n *Node) fetchRemote(m *FileMeta, level uint8) (fetched, trace.Outcome, error) {
 	return n.fetchLayers(m, 0, normalizeFidelity(level))
 }
 
+// fetched is one retrieved object window: its compressor and bytes, and
+// the rpc reply frame the bytes alias. frame is nil when the bytes are
+// not a frame (an erasure-coded degraded read); release recycles it.
+type fetched struct {
+	id    uint16
+	data  []byte
+	frame []byte
+}
+
+// release recycles the reply frame once nothing references data.
+func (f fetched) release() { bufpool.Put(f.frame) }
+
 // fetchLayers retrieves the layer window [from, to) of m's compressed
-// object and returns (compressorID, bytes, outcome). Routing is
+// object and returns it with the routing outcome. The caller releases
+// the result once it has decoded the bytes. Routing is
 // replica-aware: requests rotate across the owner and its replicas to
 // spread load, and an errored peer triggers failover to the next
 // candidate, so a lost rank degrades throughput instead of killing opens.
@@ -943,7 +960,7 @@ func (n *Node) fetchRemote(m *FileMeta, level uint8) (uint16, []byte, trace.Outc
 // Bytes a window kept off the wire, relative to the whole full-fidelity
 // object, are credited to fetch.bytes.saved. Only whole-object windows
 // (from == 0) fall back to an erasure-coded degraded read.
-func (n *Node) fetchLayers(m *FileMeta, from, to uint8) (uint16, []byte, trace.Outcome, error) {
+func (n *Node) fetchLayers(m *FileMeta, from, to uint8) (fetched, trace.Outcome, error) {
 	start := time.Now()
 	tstart := n.tracer.Begin()
 	outcome := trace.OutcomeRemoteFetch
@@ -984,15 +1001,16 @@ func (n *Node) fetchLayers(m *FileMeta, from, to uint8) (uint16, []byte, trace.O
 				continue
 			}
 			attempts++
-			got, err := n.fetchCall(dst, []fetchItem{{path: path, from: from, to: to}})
+			got, frame, err := n.fetchCall(dst, []fetchItem{{path: path, from: from, to: to}})
 			if err == nil && got[0].Status == rpc.ItemOK {
 				p := got[0].Payload
 				n.remoteBytes.Add(int64(len(p)))
 				n.creditBytesSaved(m, int64(len(p)-2))
-				return binary.LittleEndian.Uint16(p), p[2:], outcome, nil
+				return fetched{id: binary.LittleEndian.Uint16(p), data: p[2:], frame: frame}, outcome, nil
 			}
 			if err == nil {
 				err = fmt.Errorf("rank %d: %w", dst, got[0].Err())
+				bufpool.Put(frame)
 			}
 			lastErr = err
 			if errors.Is(err, mpi.ErrAborted) {
@@ -1047,7 +1065,7 @@ func (n *Node) fetchLayers(m *FileMeta, from, to uint8) (uint16, []byte, trace.O
 		if id, comp, err := n.ecDegradedObject(m); err == nil {
 			n.remoteBytes.Add(int64(len(comp)))
 			outcome = trace.OutcomeDegraded
-			return id, comp, outcome, nil
+			return fetched{id: id, data: comp}, outcome, nil
 		} else if lastErr == nil {
 			lastErr = err
 		}
@@ -1060,9 +1078,9 @@ func (n *Node) fetchLayers(m *FileMeta, from, to uint8) (uint16, []byte, trace.O
 		if n.events.Enabled() {
 			n.events.Emitf(obs.EvFailover, obs.SevError, "object %q vanished: every candidate reports not-found", path)
 		}
-		return 0, nil, outcome, &vanishedError{path: path, err: lastErr}
+		return fetched{}, outcome, &vanishedError{path: path, err: lastErr}
 	}
-	return 0, nil, outcome, fmt.Errorf("%w: %v", ErrRemoteGone, lastErr)
+	return fetched{}, outcome, fmt.Errorf("%w: %v", ErrRemoteGone, lastErr)
 }
 
 // creditBytesSaved accounts a layer window's dividend — a budgeted
@@ -1242,7 +1260,7 @@ func (n *Node) prefetchChunk(dst int, group []*prefetchTarget, level uint8) (sta
 		req[i] = fetchItem{path: t.m.Path, to: level}
 	}
 	n.batchedFetches.Inc()
-	items, err := n.fetchCall(dst, req)
+	items, frame, err := n.fetchCall(dst, req)
 	if err != nil {
 		return 0, group
 	}
@@ -1270,6 +1288,7 @@ func (n *Node) prefetchChunk(dst int, group []*prefetchTarget, level uint8) (sta
 		})
 	}
 	wg.Wait()
+	bufpool.Put(frame) // every decode is done with its payload
 	for i, it := range items {
 		t := group[i]
 		if it.Status != rpc.ItemOK || decoded[i] == nil {
@@ -1289,7 +1308,7 @@ func (n *Node) prefetchChunk(dst int, group []*prefetchTarget, level uint8) (sta
 // metadata record. level is the layer budget for layered objects
 // (0/FidelityFull: decode everything the payload carries); the returned
 // fidelity reports what the bytes actually reached. The returned buffer
-// comes from the decomp buffer pool: ownership passes to the caller, who
+// comes from the shared buffer pool: ownership passes to the caller, who
 // must hand it to the cache via InsertOwned/InsertIdleOwned (or recycle
 // it on failure).
 func (n *Node) decompress(m *FileMeta, compressorID uint16, comp []byte, pri decomp.Priority, level uint8) ([]byte, uint8, error) {
@@ -1321,7 +1340,7 @@ func (n *Node) decodeObject(s *codec.Scratch, m *FileMeta, compressorID uint16, 
 			maxL = int(level)
 		}
 		var k int
-		out, k, err = codec.DecodeLayeredScratch(s, decomp.GetBuf(int(m.Size)), comp, maxL)
+		out, k, err = codec.DecodeLayeredScratch(s, bufpool.Get(int(m.Size)), comp, maxL)
 		if err == nil {
 			n.fidelityHist.Observe(time.Duration(k) * time.Microsecond)
 			fid = metaFidelity(m, uint8(k))
@@ -1332,17 +1351,17 @@ func (n *Node) decodeObject(s *codec.Scratch, m *FileMeta, compressorID uint16, 
 			n.tracer.End(trace.OpDecompress, m.Path, trace.OutcomeError, tstart)
 			return nil, 0, fmt.Errorf("fanstore: %s: unknown compressor %d", m.Path, compressorID)
 		}
-		out, err = codec.DecompressScratch(cfg.Codec, s, decomp.GetBuf(int(m.Size)), comp)
+		out, err = codec.DecompressScratch(cfg.Codec, s, bufpool.Get(int(m.Size)), comp)
 	}
 	n.decompressHist.Observe(time.Since(start))
 	if err != nil {
-		decomp.PutBuf(out)
+		bufpool.Put(out)
 		n.tracer.End(trace.OpDecompress, m.Path, trace.OutcomeError, tstart)
 		return nil, 0, fmt.Errorf("fanstore: %s: %w", m.Path, err)
 	}
 	n.tracer.End(trace.OpDecompress, m.Path, trace.OutcomeNone, tstart)
 	if int64(len(out)) != m.Size {
-		decomp.PutBuf(out)
+		bufpool.Put(out)
 		return nil, 0, fmt.Errorf("fanstore: %s: decompressed %d bytes, metadata says %d", m.Path, len(out), m.Size)
 	}
 	n.decompresses.Inc()
@@ -1442,11 +1461,12 @@ func (n *Node) produceBytes(m *FileMeta, level uint8) (data []byte, pinned bool,
 		if data, ok := n.upgradeInPlace(m, want); ok {
 			return data, true, trace.OutcomeRemoteFetch, nil
 		}
-		id, comp, outcome, err := n.fetchRemote(m, level)
+		got, outcome, err := n.fetchRemote(m, level)
 		if err != nil {
 			return nil, false, outcome, err
 		}
-		data, fid, err := n.decompress(m, id, comp, decomp.PriOpen, level)
+		data, fid, err := n.decompress(m, got.id, got.data, decomp.PriOpen, level)
+		got.release()
 		if err != nil {
 			return nil, false, trace.OutcomeError, err
 		}
@@ -1484,16 +1504,18 @@ func (n *Node) upgradeInPlace(m *FileMeta, want uint8) (data []byte, ok bool) {
 	// >= 1, so the window [have, want) is exactly the missing refinement.
 	from := int(have)
 	off := int64(m.LayerPrefix[from-1])
-	_, raw, _, err := n.fetchLayers(m, have, want)
+	got, _, err := n.fetchLayers(m, have, want)
+	raw := got.data
 	if err != nil || int64(len(raw)) != int64(m.LayerPrefix[to-1])-off {
+		got.release()
 		n.cache.Release(m.Path)
 		return nil, false
 	}
-	out := decomp.GetBuf(int(m.Size))
+	out := bufpool.Get(int(m.Size))
 	out = append(out, base...)
 	n.decode.Run(decomp.PriOpen, func(s *codec.Scratch) {
-		plane := decomp.GetBuf(int(m.Size))
-		defer decomp.PutBuf(plane)
+		plane := bufpool.Get(int(m.Size))
+		defer bufpool.Put(plane)
 		for j := from; j < to; j++ {
 			lo := int(int64(m.LayerPrefix[j-1]) - off)
 			hi := int(int64(m.LayerPrefix[j]) - off)
@@ -1504,9 +1526,10 @@ func (n *Node) upgradeInPlace(m *FileMeta, want uint8) (data []byte, ok bool) {
 			codec.XORInto(out, plane)
 		}
 	})
+	got.release()
 	n.cache.Release(m.Path)
 	if err != nil {
-		decomp.PutBuf(out)
+		bufpool.Put(out)
 		return nil, false
 	}
 	n.fetchUpgrades.Inc()
@@ -1517,8 +1540,8 @@ func (n *Node) upgradeInPlace(m *FileMeta, want uint8) (data []byte, ok bool) {
 // Close shuts the daemon down. It must be called collectively after all
 // ranks are done with the namespace (a barrier inside ensures no peer
 // still needs this rank's objects). Even when the barrier fails — a peer
-// aborted mid-run — the serve loops are still unblocked so Close cannot
-// hang on daemon.Wait.
+// aborted mid-run — the fetch server is still stopped so Close cannot
+// hang.
 func (n *Node) Close() error {
 	if n.closed.Swap(true) {
 		return nil
@@ -1530,13 +1553,11 @@ func (n *Node) Close() error {
 		return n.closeElastic()
 	}
 	_ = n.comm.Barrier()
-	// Unblock the daemons unconditionally. On the error path the sends
-	// may fail too, but then the world is aborted and the loops exit on
-	// their closed mailboxes.
+	// Stop the fetch server unconditionally. On the error path its
+	// shutdown pill may fail too, but then the world is aborted and the
+	// receive loop exits on its closed mailbox.
 	n.server.Stop()
-	_ = n.comm.Send(n.comm.Rank(), tagWriteMeta, nil)
-	n.daemon.Wait()
-	// With the daemons down no new decode work arrives; the pool drains
+	// With the server down no new decode work arrives; the pool drains
 	// whatever is queued (stragglers run inline on their submitters).
 	n.decode.Close()
 	return n.backend.Close()

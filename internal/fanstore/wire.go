@@ -35,6 +35,10 @@ const (
 	// node to hold — the shard-placement half of ec redundancy. Re-pushes
 	// of the same (gid, index) overwrite.
 	opStoreShard = byte(6)
+	// opWriteMeta forwards written files' metadata records (encodeMetas)
+	// to their metadata home (§V-D). The empty reply is the ack: it is
+	// sent once the records are in the home's table.
+	opWriteMeta = byte(7)
 )
 
 // fetchItem asks for the layer window [from, to) of one object's

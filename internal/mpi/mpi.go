@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"fanstore/internal/bufpool"
 )
 
 // AnySource matches messages from any rank in Recv.
@@ -108,8 +110,14 @@ func (mb *mailbox) close() {
 // transport moves one message between ranks. The in-process transport
 // pushes straight into the destination mailbox; the TCP transport (see
 // tcp.go) serializes over real sockets.
+//
+// Every buffer a transport delivers comes from the shared size-classed
+// pool (internal/bufpool), and the receiver owns it. send leaves data
+// with the caller; sendOwned takes buf, which must come from
+// bufpool.Get, and either delivers it or recycles it.
 type transport interface {
 	send(src, dst, tag int, data []byte) error
+	sendOwned(src, dst, tag int, buf []byte) error
 	close()
 }
 
@@ -117,9 +125,19 @@ type transport interface {
 type localTransport struct{ w *World }
 
 func (t localTransport) send(src, dst, tag int, data []byte) error {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	return t.w.boxes[dst].push(message{src: src, tag: tag, data: cp})
+	var buf []byte // an empty message carries no buffer
+	if len(data) > 0 {
+		buf = append(bufpool.Get(len(data)), data...)
+	}
+	return t.sendOwned(src, dst, tag, buf)
+}
+
+func (t localTransport) sendOwned(src, dst, tag int, buf []byte) error {
+	if err := t.w.boxes[dst].push(message{src: src, tag: tag, data: buf}); err != nil {
+		bufpool.Put(buf)
+		return err
+	}
+	return nil
 }
 
 func (t localTransport) close() {}
@@ -218,13 +236,32 @@ func (c *Comm) Size() int { return c.world.size }
 // extra-partition replication (§V-D).
 func (c *Comm) Neighbor() int { return (c.rank + 1) % c.world.size }
 
-// Send delivers data to dst with the given tag. The data is copied, so
-// the caller may reuse the buffer. User tags must be non-negative.
+// Send delivers data to dst with the given tag. The caller keeps data
+// and may reuse it as soon as Send returns: the in-process transport
+// copies it into a pool buffer, and the TCP transport writes it to the
+// socket before returning. User tags must be non-negative.
 func (c *Comm) Send(dst, tag int, data []byte) error {
 	if tag < 0 {
 		return fmt.Errorf("mpi: negative tags are reserved (tag %d)", tag)
 	}
 	return c.send(dst, tag, data)
+}
+
+// SendOwned is Send for a buffer the caller hands over: buf must come
+// from bufpool.Get, and the caller must not touch it once SendOwned is
+// called, whatever it returns. The in-process transport delivers that
+// same slice to the receiver with no copy; the TCP transport writes it
+// and recycles it. Either way the receiver gets a pool buffer it owns.
+func (c *Comm) SendOwned(dst, tag int, buf []byte) error {
+	if tag < 0 {
+		bufpool.Put(buf)
+		return fmt.Errorf("mpi: negative tags are reserved (tag %d)", tag)
+	}
+	if dst < 0 || dst >= c.world.size {
+		bufpool.Put(buf)
+		return fmt.Errorf("mpi: send to rank %d of %d", dst, c.world.size)
+	}
+	return c.world.trans.sendOwned(c.rank, dst, tag, buf)
 }
 
 func (c *Comm) send(dst, tag int, data []byte) error {
@@ -235,7 +272,9 @@ func (c *Comm) send(dst, tag int, data []byte) error {
 }
 
 // Recv blocks for a message from src (or AnySource) with the given tag
-// and returns its payload and actual source.
+// and returns its payload and actual source. A non-empty payload is a
+// pool buffer the receiver owns: it may keep it, or hand it back with
+// bufpool.Put once nothing references it.
 func (c *Comm) Recv(src, tag int) ([]byte, int, error) {
 	if tag < 0 {
 		return nil, 0, fmt.Errorf("mpi: negative tags are reserved (tag %d)", tag)

@@ -31,27 +31,44 @@ func TestSendRecv(t *testing.T) {
 	}
 }
 
+// TestSendCopiesData: once Send returns, the caller may overwrite its
+// buffer without touching the delivered bytes, on either transport — the
+// receiver only reads after the sender has scribbled over every byte.
 func TestSendCopiesData(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			buf := []byte("hello")
-			if err := c.Send(1, 1, buf); err != nil {
-				return err
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			err := tr.run(2, func(c *Comm) error {
+				for i, n := range ownershipSizes {
+					if c.Rank() == 0 {
+						buf := pattern(n)
+						if err := c.Send(1, i, buf); err != nil {
+							return err
+						}
+						for j := range buf {
+							buf[j] = 0xEE
+						}
+						if err := c.Barrier(); err != nil {
+							return err
+						}
+						continue
+					}
+					if err := c.Barrier(); err != nil {
+						return err
+					}
+					data, _, err := c.Recv(0, i)
+					if err != nil {
+						return err
+					}
+					if !bytes.Equal(data, pattern(n)) {
+						return fmt.Errorf("%d-byte message changed after the sender reused its buffer", n)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			copy(buf, "XXXXX") // must not affect the delivered message
-			return nil
-		}
-		data, _, err := c.Recv(0, 1)
-		if err != nil {
-			return err
-		}
-		if string(data) != "hello" {
-			return fmt.Errorf("message mutated after send: %q", data)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		})
 	}
 }
 

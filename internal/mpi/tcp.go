@@ -6,6 +6,8 @@ import (
 	"io"
 	"net"
 	"sync"
+
+	"fanstore/internal/bufpool"
 )
 
 // RunTCP starts n ranks whose messages travel over real TCP connections
@@ -50,9 +52,13 @@ type tcpTransport struct {
 
 // tcpConn pairs a connection with its writer lock, so concurrent senders
 // to the same destination serialize without stalling other destinations.
+// hdr and iov are the frame header and the write vector, reused by every
+// send under mu.
 type tcpConn struct {
-	mu sync.Mutex
-	c  net.Conn
+	mu  sync.Mutex
+	c   net.Conn
+	hdr [tcpFrameHdr]byte
+	iov [2][]byte
 }
 
 // listen opens one listener per rank and starts accept loops.
@@ -90,7 +96,8 @@ func (t *tcpTransport) listen() error {
 	return nil
 }
 
-// reader drains one inbound connection into rank r's mailbox.
+// reader drains one inbound connection into rank r's mailbox. Each
+// payload is read into a pool buffer that the receiver then owns.
 func (t *tcpTransport) reader(r int, conn net.Conn) {
 	defer conn.Close()
 	var hdr [tcpFrameHdr]byte
@@ -105,9 +112,13 @@ func (t *tcpTransport) reader(r int, conn net.Conn) {
 		if src < 0 || src >= t.w.size || length < 0 || length > 1<<31 {
 			return
 		}
-		data := make([]byte, length)
-		if _, err := io.ReadFull(conn, data); err != nil {
-			return
+		var data []byte
+		if length > 0 {
+			data = bufpool.Get(length)[:length]
+			if _, err := io.ReadFull(conn, data); err != nil {
+				bufpool.Put(data)
+				return
+			}
 		}
 		if t.w.boxes[r].push(message{src: src, tag: tag, data: data}) != nil {
 			return // world aborted
@@ -148,26 +159,38 @@ func (t *tcpTransport) conn(src, dst int) (*tcpConn, error) {
 	return tc, nil
 }
 
+// send writes the frame header and data to the (src, dst) connection in
+// one vectored write: no frame is assembled, so the payload is never
+// copied in user space. The write completes before send returns, so the
+// caller keeps data.
 func (t *tcpTransport) send(src, dst, tag int, data []byte) error {
 	c, err := t.conn(src, dst)
 	if err != nil {
 		return err
 	}
-	frame := make([]byte, tcpFrameHdr+len(data))
-	binary.LittleEndian.PutUint32(frame[:4], uint32(src))
-	z := uint64(int64(tag)<<1) ^ uint64(int64(tag)>>63)
-	binary.LittleEndian.PutUint64(frame[4:12], z)
-	binary.LittleEndian.PutUint32(frame[12:16], uint32(len(data)))
-	copy(frame[tcpFrameHdr:], data)
 	// Serialize writers per connection: a rank's daemon and main
 	// goroutine may send to the same destination concurrently.
 	c.mu.Lock()
-	_, err = c.c.Write(frame)
+	binary.LittleEndian.PutUint32(c.hdr[:4], uint32(src))
+	z := uint64(int64(tag)<<1) ^ uint64(int64(tag)>>63)
+	binary.LittleEndian.PutUint64(c.hdr[4:12], z)
+	binary.LittleEndian.PutUint32(c.hdr[12:16], uint32(len(data)))
+	c.iov = [2][]byte{c.hdr[:], data}
+	bufs := net.Buffers(c.iov[:])
+	_, err = bufs.WriteTo(c.c)
+	c.iov[1] = nil // do not pin the caller's buffer
 	c.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("mpi: tcp send to rank %d: %w", dst, err)
 	}
 	return nil
+}
+
+// sendOwned writes buf like send and then recycles it.
+func (t *tcpTransport) sendOwned(src, dst, tag int, buf []byte) error {
+	err := t.send(src, dst, tag, buf)
+	bufpool.Put(buf)
+	return err
 }
 
 func (t *tcpTransport) close() {

@@ -71,7 +71,7 @@ func TestBatchedCallPartialMiss(t *testing.T) {
 						items[i] = Item{Status: ItemNotFound}
 					}
 				}
-				return EncodeItems(items), nil
+				return reply(EncodeItems(items)), nil
 			}, ServerOptions{})
 			if err := c.Barrier(); err != nil {
 				return err
@@ -80,7 +80,7 @@ func TestBatchedCallPartialMiss(t *testing.T) {
 			return nil
 		}
 		cl := NewClient(c, 500, 1<<20, ClientOptions{})
-		resp, err := cl.Call(1, []byte("a,b,c"))
+		resp, _, err := cl.Call(1, []byte("a,b,c"))
 		if err != nil {
 			return err
 		}

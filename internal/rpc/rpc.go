@@ -16,6 +16,13 @@
 // Response frame, sent back on respTag:
 //
 //	u8 status | payload            (payload is the error text on failure)
+//
+// Frames change hands instead of being copied. Each is a buffer from the
+// shared pool (internal/bufpool): the client builds its request frame
+// and the handler its reply frame (NewReply) on pool buffers and pass
+// them to mpi with SendOwned; the server recycles each request frame
+// once it has replied, and Call hands each reply frame to its caller,
+// who owns it from then on.
 package rpc
 
 import (
@@ -27,7 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fanstore/internal/decomp"
+	"fanstore/internal/bufpool"
 	"fanstore/internal/metrics"
 	"fanstore/internal/mpi"
 )
@@ -57,17 +64,26 @@ var (
 	ErrStale = errors.New("rpc: stale cluster map")
 )
 
-// Handler services one request and returns the response payload.
-// Returning an error wrapping ErrNotFound maps to a not-found status;
-// any other error maps to a remote-error status carrying the text.
+// Handler services one request and returns the reply frame: a buffer
+// from NewReply with the response payload appended after the reserved
+// status byte. A nil reply answers an empty payload. Returning an error
+// wrapping ErrNotFound maps to a not-found status; any other error maps
+// to a remote-error status carrying the text.
 //
 // Buffer ownership: req is only valid for the duration of the call —
 // the server recycles the request frame into the shared buffer pool
-// once the reply is sent. A successfully returned payload transfers to
-// the server, which recycles it after copying it into the response
-// frame; it therefore must not alias req or be retained or reused by
-// the handler.
+// once the reply is sent. A successfully returned reply transfers to
+// the server, which sets its status byte and hands it to the transport
+// without copying; it therefore must not alias req or be retained or
+// reused by the handler.
 type Handler func(src int, req []byte) ([]byte, error)
+
+// NewReply returns a pooled reply frame with room for an n-byte payload
+// and its leading status byte reserved. A handler appends its payload
+// and returns the frame.
+func NewReply(n int) []byte {
+	return bufpool.Get(1 + n)[:1]
+}
 
 // ServerOptions configures a Server.
 type ServerOptions struct {
@@ -181,6 +197,7 @@ func (s *Server) Serve() {
 			return // shutdown pill from Stop
 		}
 		if len(data) < 4 {
+			bufpool.Put(data)
 			continue // malformed frame; nothing to even reply to
 		}
 		respTag := int(binary.LittleEndian.Uint32(data))
@@ -197,39 +214,35 @@ func (s *Server) worker() {
 		s.inService.Inc()
 		start := time.Now()
 		s.answer(req)
-		decomp.PutBuf(req.raw)
+		bufpool.Put(req.raw)
 		s.serviceHist.Observe(time.Since(start))
 		s.inService.Dec()
 	}
 }
 
-// answer runs the handler and sends the status-framed response.
+// answer runs the handler and sends the status-framed response. The
+// reply frame goes to the transport with SendOwned: the in-process
+// transport delivers it as is, and TCP recycles it after the write.
 func (s *Server) answer(req request) {
-	payload, err := s.handler(req.src, req.payload)
-	var resp []byte
+	resp, err := s.handler(req.src, req.payload)
 	switch {
 	case err == nil:
-		resp = decomp.GetBuf(1 + len(payload))
-		resp = append(resp, statusOK)
-		resp = append(resp, payload...)
-		// The handler contract transfers payload ownership here; it was
-		// copied into resp above and must not alias req.raw.
-		decomp.PutBuf(payload)
+		if len(resp) == 0 {
+			resp = NewReply(0)
+		}
+		resp[0] = statusOK
 		s.served.Inc()
 	case errors.Is(err, ErrNotFound):
-		resp = []byte{statusNotFound}
+		resp = NewReply(0)
+		resp[0] = statusNotFound
 		s.notFound.Inc()
 	default:
 		msg := err.Error()
-		resp = make([]byte, 1, 1+len(msg))
+		resp = append(NewReply(len(msg)), msg...)
 		resp[0] = statusError
-		resp = append(resp, msg...)
 		s.errors.Inc()
 	}
-	// Both transports copy the frame before Send returns, so the
-	// response buffer can recycle immediately.
-	_ = s.comm.Send(req.src, req.respTag, resp)
-	decomp.PutBuf(resp)
+	_ = s.comm.SendOwned(req.src, req.respTag, resp)
 }
 
 // CountItem records one item of a batched answer: a non-OK status lands
@@ -328,10 +341,14 @@ func NewClient(comm *mpi.Comm, tag, respBase int, opts ClientOptions) *Client {
 	}
 }
 
-// Call sends req to dst and returns the response payload, retrying per
-// the client options. The returned error wraps ErrNotFound, ErrRemote,
-// or ErrTimeout so routing layers can decide whether to fail over.
-func (c *Client) Call(dst int, req []byte) ([]byte, error) {
+// Call sends req to dst and returns the response payload and the frame
+// it arrived in, retrying per the client options. The frame is a pool
+// buffer the caller owns and payload aliases it: once nothing references
+// payload, the caller may recycle the frame with bufpool.Put or leave it
+// to the GC. req stays the caller's. The returned error wraps
+// ErrNotFound, ErrRemote, or ErrTimeout so routing layers can decide
+// whether to fail over.
+func (c *Client) Call(dst int, req []byte) (payload, frame []byte, err error) {
 	c.calls.Inc()
 	backoff := c.opts.Backoff
 	var lastErr error
@@ -343,52 +360,51 @@ func (c *Client) Call(dst int, req []byte) ([]byte, error) {
 				backoff *= 2
 			}
 		}
-		resp, err := c.attempt(dst, req)
+		payload, frame, err := c.attempt(dst, req)
 		if err == nil {
-			return resp, nil
+			return payload, frame, nil
 		}
 		lastErr = err
 		if errors.Is(err, ErrNotFound) || errors.Is(err, mpi.ErrAborted) {
 			break // terminal: retrying the same peer cannot help
 		}
 	}
-	return nil, lastErr
+	return nil, nil, lastErr
 }
 
 // attempt performs one framed round trip, observing its duration in the
 // per-attempt latency histogram (success or failure — a timed-out
 // attempt is exactly the sample a stall investigation needs).
-func (c *Client) attempt(dst int, req []byte) ([]byte, error) {
+func (c *Client) attempt(dst int, req []byte) (payload, frame []byte, err error) {
 	start := time.Now()
 	defer metrics.ObserveSince(c.attemptHist, start)
 	respTag := c.respBase + int(c.seq.Add(1))
-	frame := decomp.GetBuf(4 + len(req))[:4]
-	binary.LittleEndian.PutUint32(frame, uint32(respTag))
-	frame = append(frame, req...)
-	err := c.comm.Send(dst, c.tag, frame)
-	decomp.PutBuf(frame) // Send copies; the frame is dead once it returns
-	if err != nil {
-		return nil, fmt.Errorf("rpc: send to rank %d: %w", dst, err)
+	out := bufpool.Get(4 + len(req))[:4]
+	binary.LittleEndian.PutUint32(out, uint32(respTag))
+	if err := c.comm.SendOwned(dst, c.tag, append(out, req...)); err != nil {
+		return nil, nil, fmt.Errorf("rpc: send to rank %d: %w", dst, err)
 	}
 	resp, _, err := c.comm.RecvDeadline(dst, respTag, c.opts.Timeout)
 	if errors.Is(err, mpi.ErrTimeout) {
 		c.timeouts.Inc()
-		return nil, fmt.Errorf("%w: rank %d after %v", ErrTimeout, dst, c.opts.Timeout)
+		return nil, nil, fmt.Errorf("%w: rank %d after %v", ErrTimeout, dst, c.opts.Timeout)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("rpc: recv from rank %d: %w", dst, err)
+		return nil, nil, fmt.Errorf("rpc: recv from rank %d: %w", dst, err)
 	}
 	if len(resp) < 1 {
-		return nil, fmt.Errorf("%w: rank %d sent an empty frame", ErrRemote, dst)
+		return nil, nil, fmt.Errorf("%w: rank %d sent an empty frame", ErrRemote, dst)
 	}
 	switch resp[0] {
 	case statusOK:
-		return resp[1:], nil
+		return resp[1:], resp, nil
 	case statusNotFound:
-		return nil, fmt.Errorf("%w: rank %d", ErrNotFound, dst)
+		err = fmt.Errorf("%w: rank %d", ErrNotFound, dst)
 	default:
-		return nil, fmt.Errorf("%w: rank %d: %s", ErrRemote, dst, resp[1:])
+		err = fmt.Errorf("%w: rank %d: %s", ErrRemote, dst, resp[1:])
 	}
+	bufpool.Put(resp)
+	return nil, nil, err
 }
 
 // Stats snapshots the client counters — a thin view over the

@@ -13,6 +13,9 @@ import (
 	"fanstore/internal/mpi"
 )
 
+// reply frames b as a handler's reply: b after the reserved status byte.
+func reply(b []byte) []byte { return append(NewReply(len(b)), b...) }
+
 // serveOn starts a server on rank with the handler and returns it; the
 // caller stops it after the closing barrier.
 func serveOn(c *mpi.Comm, h Handler, opts ServerOptions) *Server {
@@ -25,7 +28,7 @@ func TestCallBasic(t *testing.T) {
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		if c.Rank() == 1 {
 			s := serveOn(c, func(src int, req []byte) ([]byte, error) {
-				return append(bytes.ToUpper(req), byte('0'+src)), nil
+				return reply(append(bytes.ToUpper(req), byte('0'+src))), nil
 			}, ServerOptions{})
 			if err := c.Barrier(); err != nil {
 				return err
@@ -42,7 +45,7 @@ func TestCallBasic(t *testing.T) {
 		}
 		cl := NewClient(c, 500, 1<<20, ClientOptions{})
 		for i := 0; i < 3; i++ {
-			resp, err := cl.Call(1, []byte("ping"))
+			resp, _, err := cl.Call(1, []byte("ping"))
 			if err != nil {
 				return err
 			}
@@ -70,7 +73,7 @@ func TestNotFoundAndRemoteError(t *testing.T) {
 				case "boom":
 					return nil, errors.New("handler exploded")
 				}
-				return append([]byte(nil), req...), nil
+				return reply(req), nil
 			}, ServerOptions{})
 			if err := c.Barrier(); err != nil {
 				return err
@@ -82,14 +85,14 @@ func TestNotFoundAndRemoteError(t *testing.T) {
 			return nil
 		}
 		cl := NewClient(c, 500, 1<<20, ClientOptions{})
-		if _, err := cl.Call(1, []byte("missing")); !errors.Is(err, ErrNotFound) {
+		if _, _, err := cl.Call(1, []byte("missing")); !errors.Is(err, ErrNotFound) {
 			return fmt.Errorf("missing: %v", err)
 		}
-		if _, err := cl.Call(1, []byte("boom")); !errors.Is(err, ErrRemote) ||
+		if _, _, err := cl.Call(1, []byte("boom")); !errors.Is(err, ErrRemote) ||
 			!strings.Contains(err.Error(), "handler exploded") {
 			return fmt.Errorf("boom: %v", err)
 		}
-		if resp, err := cl.Call(1, []byte("ok")); err != nil || string(resp) != "ok" {
+		if resp, _, err := cl.Call(1, []byte("ok")); err != nil || string(resp) != "ok" {
 			return fmt.Errorf("ok: %q %v", resp, err)
 		}
 		return c.Barrier()
@@ -108,7 +111,7 @@ func TestStaleStatus(t *testing.T) {
 			var calls atomic.Int32
 			s := serveOn(c, func(_ int, _ []byte) ([]byte, error) {
 				calls.Add(1)
-				return EncodeItems([]Item{{Status: ItemStale, Payload: []byte("have v3, got v2")}}), nil
+				return reply(EncodeItems([]Item{{Status: ItemStale, Payload: []byte("have v3, got v2")}})), nil
 			}, ServerOptions{})
 			if err := c.Barrier(); err != nil {
 				return err
@@ -120,7 +123,7 @@ func TestStaleStatus(t *testing.T) {
 			return nil
 		}
 		cl := NewClient(c, 500, 1<<20, ClientOptions{Retries: 3})
-		resp, err := cl.Call(1, []byte("read"))
+		resp, _, err := cl.Call(1, []byte("read"))
 		if err != nil {
 			return err
 		}
@@ -149,7 +152,7 @@ func TestCallDeadline(t *testing.T) {
 				if string(req) == "slow" {
 					<-release
 				}
-				return append([]byte(nil), req...), nil
+				return reply(req), nil
 			}, ServerOptions{Workers: 2})
 			if err := c.Barrier(); err != nil {
 				return err
@@ -162,7 +165,7 @@ func TestCallDeadline(t *testing.T) {
 			return nil
 		}
 		cl := NewClient(c, 500, 1<<20, ClientOptions{Timeout: 50 * time.Millisecond})
-		if _, err := cl.Call(1, []byte("slow")); !errors.Is(err, ErrTimeout) {
+		if _, _, err := cl.Call(1, []byte("slow")); !errors.Is(err, ErrTimeout) {
 			return fmt.Errorf("slow call: %v", err)
 		}
 		if st := cl.Stats(); st.Timeouts != 1 {
@@ -170,7 +173,7 @@ func TestCallDeadline(t *testing.T) {
 		}
 		// A fast call on the same client still works: the stale reply
 		// cannot be mismatched because response tags are never reused.
-		if resp, err := cl.Call(1, []byte("fast")); err != nil || string(resp) != "fast" {
+		if resp, _, err := cl.Call(1, []byte("fast")); err != nil || string(resp) != "fast" {
 			return fmt.Errorf("fast call: %q %v", resp, err)
 		}
 		if err := c.Barrier(); err != nil {
@@ -191,7 +194,7 @@ func TestRetryBackoff(t *testing.T) {
 				if fails.Add(1) <= 2 {
 					return nil, errors.New("transient")
 				}
-				return append([]byte(nil), req...), nil
+				return reply(req), nil
 			}, ServerOptions{})
 			if err := c.Barrier(); err != nil {
 				return err
@@ -203,7 +206,7 @@ func TestRetryBackoff(t *testing.T) {
 			return nil
 		}
 		cl := NewClient(c, 500, 1<<20, ClientOptions{Retries: 3, Backoff: time.Millisecond})
-		resp, err := cl.Call(1, []byte("eventually"))
+		resp, _, err := cl.Call(1, []byte("eventually"))
 		if err != nil || string(resp) != "eventually" {
 			return fmt.Errorf("call: %q %v", resp, err)
 		}
@@ -226,7 +229,7 @@ func TestWorkerPoolStress(t *testing.T) {
 		if c.Rank() == 0 {
 			s := serveOn(c, func(_ int, req []byte) ([]byte, error) {
 				time.Sleep(time.Millisecond) // give requests time to pile up
-				return append([]byte(nil), req...), nil
+				return reply(req), nil
 			}, ServerOptions{Workers: goroutines})
 			if err := c.Barrier(); err != nil {
 				return err
@@ -251,7 +254,7 @@ func TestWorkerPoolStress(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < calls; i++ {
 					req := []byte(fmt.Sprintf("r%d-g%d-i%d", c.Rank(), g, i))
-					resp, err := cl.Call(0, req)
+					resp, _, err := cl.Call(0, req)
 					if err != nil {
 						errCh <- err
 						return
@@ -282,7 +285,7 @@ func TestServerStopOnAbortedWorld(t *testing.T) {
 	var s *Server
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		if c.Rank() == 1 {
-			s = serveOn(c, func(_ int, req []byte) ([]byte, error) { return append([]byte(nil), req...), nil }, ServerOptions{})
+			s = serveOn(c, func(_ int, req []byte) ([]byte, error) { return reply(req), nil }, ServerOptions{})
 			return boom // aborts the world with the server running
 		}
 		return nil

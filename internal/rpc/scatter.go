@@ -25,7 +25,7 @@ func (c *Client) Scatter(dsts []int, req []byte) []ScatterResult {
 		wg.Add(1)
 		go func(i, dst int) {
 			defer wg.Done()
-			out[i].Resp, out[i].Err = c.Call(dst, req)
+			out[i].Resp, _, out[i].Err = c.Call(dst, req)
 		}(i, dst)
 	}
 	wg.Wait()
