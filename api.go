@@ -305,40 +305,31 @@ func JoinTCP(dir string, rank, size int, timeout time.Duration) (*Comm, func(), 
 // JoinTCPMembers is JoinTCP for elastic deployments: the world spans
 // size slots but this rank only waits for the listed initial members;
 // the other slots' addresses resolve lazily when they come up. Pair it
-// with MountElastic/JoinCluster for multi-process elastic clusters.
+// with Mount (Options.InitialMembers) and JoinCluster for multi-process
+// clusters that grow and shrink.
 func JoinTCPMembers(dir string, rank, size int, waitFor []int, timeout time.Duration) (*Comm, func(), error) {
 	return mpi.JoinTCPMembers(dir, rank, size, waitFor, timeout)
 }
 
 // Mount loads this rank's partitions, builds the global metadata view
-// collectively, and starts the FanStore daemon. Every rank must call it.
+// through the coordinator (rank 0), and starts the FanStore daemon.
+// Ranks 0..opts.InitialMembers-1 (0: every rank) must call it; they
+// form the cluster under a versioned cluster map, and the remaining
+// world slots stay free for JoinCluster. Growing and shrinking trigger
+// online delta rebalances; reads are served throughout.
 func Mount(c *Comm, partitions [][]byte, broadcast []byte, opts Options) (*Node, error) {
 	return store.Mount(c, partitions, broadcast, opts)
 }
 
-// ElasticOptions configures an elastic mount: the usual Options plus the
-// initial member count and the per-node capacity used by rebalance
-// planning.
-type ElasticOptions = store.ElasticOptions
-
-// MountElastic mounts a FanStore whose membership can change while it
-// serves: ranks 0..InitialMembers-1 of the world form the cluster under
-// a versioned cluster map (rank 0 coordinates), and the remaining world
-// slots stay free for JoinCluster. Growing and shrinking trigger online
-// delta rebalances; reads are served throughout.
-func MountElastic(c *Comm, partitions [][]byte, opts ElasticOptions) (*Node, error) {
-	return store.MountElastic(c, partitions, opts)
-}
-
-// JoinCluster adds this rank to a running elastic cluster mid-training:
+// JoinCluster adds this rank to a running cluster mid-training:
 // it is admitted to the cluster map, downloads the metadata table, and
 // returns once the triggered rebalance has moved its share of the
 // partitions onto it.
-func JoinCluster(c *Comm, coordRank int, opts ElasticOptions) (*Node, error) {
+func JoinCluster(c *Comm, coordRank int, opts Options) (*Node, error) {
 	return store.JoinCluster(c, coordRank, opts)
 }
 
-// Redundancy is the mount-time redundancy selection for elastic mounts:
+// Redundancy is the mount-time redundancy selection (Options.Redundancy):
 // whole-partition replication (the default) or ec(k,m) erasure coding,
 // which stripes every partition into k data + m parity shards at m/k
 // memory overhead and keeps objects readable through degraded

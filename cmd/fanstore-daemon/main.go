@@ -10,10 +10,13 @@
 //	                  -part packed/part-000$r.fst -reads 64 &
 //	done; wait
 //
-// Each daemon mounts its partition, joins the collective metadata
-// exchange, serves its objects to peers, reads -reads random files from
-// the global namespace (fetching remote ones over TCP), reports stats,
-// and shuts down collectively.
+// Each daemon mounts its partition, registers its metadata with the
+// coordinator (rank 0), serves its objects to peers, reads -reads random
+// files from the global namespace (fetching remote ones over TCP),
+// reports stats, and shuts down through the coordinator's bye/ack
+// handshake. -members k makes only ranks 0..k-1 initial members; a
+// spare slot started with -join enters the running cluster and takes
+// over its share of the partitions, and -leave drains a member out.
 package main
 
 import (
@@ -49,28 +52,27 @@ func main() {
 		lookahead  = flag.Int("prefetch", 0, "reads of look-ahead staged via batched fetches (0: fetch on demand)")
 		traceOut   = flag.String("trace", "", "write this rank's Chrome trace-event JSON timeline to this file")
 		report     = flag.Bool("report", false, "run the cluster report collective; rank 0 prints the merged view")
-		members    = flag.Int("members", 0, "initial elastic members: ranks 0..members-1 mount, the rest are spare slots (0: static world)")
-		joinLate   = flag.Bool("join", false, "join a running elastic cluster as a new member (requires -members; no -part)")
-		leaveEarly = flag.Bool("leave", false, "leave the elastic cluster after the reads, draining partitions to the survivors")
-		redun      = flag.String("redundancy", "", "elastic redundancy: replicate (default) or ec(k,m), e.g. ec(4,2)")
+		members    = flag.Int("members", 0, "initial members: ranks 0..members-1 mount, the rest are spare slots (0: the whole world)")
+		joinLate   = flag.Bool("join", false, "join a running cluster as a new member (requires -members; no -part)")
+		leaveEarly = flag.Bool("leave", false, "leave the cluster after the reads, draining partitions to the survivors")
+		redun      = flag.String("redundancy", "", "redundancy: replicate (default) or ec(k,m), e.g. ec(4,2)")
 		opsAddr    = flag.String("ops-addr", "", "serve live HTTP ops endpoints; pass the same base address to every daemon, rank r listens on port+r (empty disables)")
 		healthInt  = flag.Duration("health-interval", 0, "rank 0 scrapes every member's /varz at this period and flags stragglers mid-run (needs -ops-addr; 0 disables)")
-		healthN    = flag.Int("health-members", 0, "member count the health monitor scrapes (0: -members for elastic worlds, else -size)")
+		healthN    = flag.Int("health-members", 0, "member count the health monitor scrapes (0: the initial members)")
 		tuneOn     = flag.Bool("tune", false, "run the online autotuner against this daemon's live knobs (decode workers, fetch batch size)")
 		tuneEvery  = flag.Duration("tune-interval", time.Second, "autotuner sample-and-decide period")
 	)
 	flag.Parse()
 	log.SetPrefix(fmt.Sprintf("fanstore-daemon[%d]: ", *rank))
 
-	elastic := *members > 0 || *joinLate
 	if *rendezvous == "" || *rank < 0 || *size <= 0 {
 		log.Fatal("-rendezvous, -rank and -size are required")
 	}
 	if *joinLate && *members <= 0 {
 		log.Fatal("-join requires -members (the cluster's initial member count)")
 	}
-	if *leaveEarly && !elastic {
-		log.Fatal("-leave requires an elastic cluster (-members/-join)")
+	if *members <= 0 {
+		*members = *size
 	}
 	if *parts == "" && !*joinLate {
 		log.Fatal("-part is required (a joining member receives partitions from the rebalance instead)")
@@ -94,20 +96,13 @@ func main() {
 		}
 	}
 
-	var comm *fanstore.Comm
-	var leave func()
-	var err error
-	if elastic {
-		// Only the initial members rendezvous; spare slots (and this
-		// rank, if it joins late) resolve lazily when they come up.
-		waitFor := make([]int, 0, *members)
-		for r := 0; r < *members; r++ {
-			waitFor = append(waitFor, r)
-		}
-		comm, leave, err = mpi.JoinTCPMembers(*rendezvous, *rank, *size, waitFor, *timeout)
-	} else {
-		comm, leave, err = mpi.JoinTCP(*rendezvous, *rank, *size, *timeout)
+	// Only the initial members rendezvous; spare slots (and this rank, if
+	// it joins late) resolve lazily when they come up.
+	waitFor := make([]int, 0, *members)
+	for r := 0; r < *members; r++ {
+		waitFor = append(waitFor, r)
 	}
+	comm, leave, err := mpi.JoinTCPMembers(*rendezvous, *rank, *size, waitFor, *timeout)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -122,9 +117,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if red.Mode == fanstore.RedundancyEC && !elastic {
-		log.Fatal("-redundancy ec(k,m) needs an elastic mount (-members); static worlds replicate via -broadcast/ring placement")
-	}
 	if *healthInt > 0 && *opsAddr == "" {
 		log.Fatal("-health-interval needs -ops-addr (the monitor scrapes member /varz endpoints)")
 	}
@@ -133,37 +125,29 @@ func main() {
 		events = fanstore.NewEventLog(*rank, 0)
 	}
 	opts := fanstore.Options{
-		SpillDir:      *spill,
-		FetchWorkers:  *workers,
-		FetchTimeout:  *fetchTO,
-		FetchRetries:  *fetchRetry,
-		CacheShards:   *shards,
-		DecodeWorkers: *decoders,
-		Metrics:       reg,
-		Tracer:        tr,
-		Redundancy:    red,
-		Events:        events,
+		SpillDir:       *spill,
+		FetchWorkers:   *workers,
+		FetchTimeout:   *fetchTO,
+		FetchRetries:   *fetchRetry,
+		CacheShards:    *shards,
+		DecodeWorkers:  *decoders,
+		Metrics:        reg,
+		Tracer:         tr,
+		Redundancy:     red,
+		Events:         events,
+		InitialMembers: *members,
 	}
 	var node *fanstore.Node
-	if elastic {
-		eopts := fanstore.ElasticOptions{Options: opts, InitialMembers: *members}
-		if *joinLate {
-			node, err = fanstore.JoinCluster(comm, 0, eopts)
-		} else {
-			node, err = fanstore.MountElastic(comm, own, eopts)
-		}
+	if *joinLate {
+		node, err = fanstore.JoinCluster(comm, 0, opts)
 	} else {
 		node, err = fanstore.Mount(comm, own, bcast, opts)
 	}
 	if err != nil {
 		log.Fatal(err)
 	}
-	if elastic {
-		log.Printf("mounted: %d files global, %d local (elastic, node %d, map v%d)",
-			node.NumFiles(), node.LocalFiles(), node.ID(), node.MapVersion())
-	} else {
-		log.Printf("mounted: %d files global, %d local", node.NumFiles(), node.LocalFiles())
-	}
+	log.Printf("mounted: %d files global, %d local (node %d, map v%d)",
+		node.NumFiles(), node.LocalFiles(), node.ID(), node.MapVersion())
 
 	if *tuneOn {
 		ctrl := fanstore.NewTuner(fanstore.TunerOptions{
@@ -192,10 +176,7 @@ func main() {
 	if *healthInt > 0 && *rank == 0 {
 		n := *healthN
 		if n <= 0 {
-			n = *size
-			if elastic && *members > 0 {
-				n = *members
-			}
+			n = *members
 		}
 		peers := make([]string, n)
 		for r := range peers {
@@ -294,16 +275,14 @@ func main() {
 			float64(st.Cache.Hits)/float64(st.Cache.Hits+st.Cache.Misses)*100)
 	}
 
-	if elastic {
-		log.Printf("elastic: map v%d, rebalance moved %d bytes here, %d transfers pending",
-			node.MapVersion(), node.RebalancedBytes(), node.RebalancePending())
-	}
+	log.Printf("membership: map v%d, rebalance moved %d bytes here, %d transfers pending",
+		node.MapVersion(), node.RebalancedBytes(), node.RebalancePending())
 
 	if *report {
-		if elastic {
+		if *members < *size {
 			// The report reduction is a world-wide collective; with
 			// partial membership the empty slots would never answer.
-			log.Printf("report: skipped (collective report needs a static world)")
+			log.Printf("report: skipped (collective report needs every slot to be a member)")
 		} else {
 			// Collective: every daemon must be launched with -report too.
 			rep, err := fanstore.GatherReport(comm, reg, fanstore.ReportOptions{Elapsed: elapsed})
@@ -330,9 +309,9 @@ func main() {
 	}
 
 	// Shutdown. A leaving member drains its partitions to the survivors
-	// and departs alone; everyone else shuts down collectively (the
-	// elastic path replaces the barrier with a bye/ack handshake through
-	// the coordinator) — no rank exits while peers may still fetch.
+	// and departs alone; everyone else shuts down through the
+	// coordinator's bye/ack handshake — no rank exits while peers may
+	// still fetch.
 	if *leaveEarly {
 		if err := node.LeaveCluster(); err != nil {
 			log.Fatal(err)

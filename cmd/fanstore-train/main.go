@@ -58,7 +58,7 @@ func main() {
 		traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON timeline of all ranks to this file")
 		report     = flag.Bool("report", false, "print the cluster-wide aggregated I/O report after training")
 		statsJSON  = flag.Bool("stats-json", false, "emit the final merged registry snapshot as one JSON object on stdout")
-		redun      = flag.String("redundancy", "", "accepted for symmetry with fanstore-daemon; ec(k,m) needs an elastic mount")
+		redun      = flag.String("redundancy", "", "redundancy: replicate (default) or ec(k,m), e.g. ec(4,2)")
 		opsAddr    = flag.String("ops-addr", "", "serve live HTTP ops endpoints (/metrics /varz /series /healthz /statusz /trace /events); rank r listens on port+r (empty disables)")
 		healthInt  = flag.Duration("health-interval", 0, "rank 0 polls every rank's registry at this period and flags stragglers mid-run (0 disables)")
 		layers     = flag.Int("layers", 0, "pack every file as a progressive layered container with this many layers (0: classic single-layer objects)")
@@ -76,10 +76,9 @@ func main() {
 		log.Fatal("-fidelity needs -layers >= 2 (there is only one fidelity without layers)")
 	}
 
-	if red, err := fanstore.ParseRedundancy(*redun); err != nil {
+	red, err := fanstore.ParseRedundancy(*redun)
+	if err != nil {
 		log.Fatal(err)
-	} else if red.Mode == fanstore.RedundancyEC {
-		log.Fatal("-redundancy ec(k,m) needs an elastic mount; use fanstore-daemon -members with -redundancy instead")
 	}
 
 	kind, ok := kindByName(*dsName)
@@ -154,6 +153,7 @@ func main() {
 			Metrics:       reg,
 			Tracer:        tr,
 			Events:        events,
+			Redundancy:    red,
 		}
 		if *spill != "" {
 			opts.SpillDir = fmt.Sprintf("%s/rank%04d", *spill, c.Rank())

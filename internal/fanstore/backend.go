@@ -27,6 +27,11 @@ type Backend interface {
 	// (or the object is absent). The store uses it for the uncompressed
 	// passthrough path.
 	Peek(path string) (compressorID uint16, data []byte, ok bool)
+	// Blob returns the whole partition blob AddPartition ingested the
+	// object at path with — what a rebalance handoff or an erasure-shard
+	// push sends. The RAM backend returns the resident blob; the spill
+	// backend reads its spill file back.
+	Blob(path string) ([]byte, error)
 	// Contains reports whether the backend holds path.
 	Contains(path string) bool
 	// Remove forgets the given objects — the old owner's half of a
@@ -51,6 +56,7 @@ type ramBackend struct {
 type ramObject struct {
 	compressorID uint16
 	data         []byte
+	blob         []byte // the partition blob data aliases
 }
 
 // NewRAMBackend builds an empty RAM backend.
@@ -63,7 +69,7 @@ func (b *ramBackend) AddPartition(blob []byte, part *pack.Partition) error {
 	defer b.mu.Unlock()
 	for i := range part.Entries {
 		e := &part.Entries[i]
-		b.objects[cleanPath(e.Path)] = ramObject{compressorID: e.CompressorID, data: e.Data}
+		b.objects[cleanPath(e.Path)] = ramObject{compressorID: e.CompressorID, data: e.Data, blob: blob}
 	}
 	return nil
 }
@@ -83,6 +89,16 @@ func (b *ramBackend) Peek(path string) (uint16, []byte, bool) {
 	o, ok := b.objects[path]
 	b.mu.RUnlock()
 	return o.compressorID, o.data, ok
+}
+
+func (b *ramBackend) Blob(path string) ([]byte, error) {
+	b.mu.RLock()
+	o, ok := b.objects[path]
+	b.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("%w: %s (ram backend)", ErrNotExist, path)
+	}
+	return o.blob, nil
 }
 
 func (b *ramBackend) Contains(path string) bool {
@@ -190,6 +206,20 @@ func (b *spillBackend) Get(path string) (uint16, []byte, error) {
 
 func (b *spillBackend) Peek(string) (uint16, []byte, bool) {
 	return 0, nil, false // nothing is RAM-resident by construction
+}
+
+func (b *spillBackend) Blob(path string) ([]byte, error) {
+	b.mu.RLock()
+	o, ok := b.objects[path]
+	closed := b.closed
+	b.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("%w: %s (spill backend)", ErrNotExist, path)
+	}
+	if closed {
+		return nil, fmt.Errorf("fanstore: spill backend closed: %s", path)
+	}
+	return os.ReadFile(o.file.Name())
 }
 
 func (b *spillBackend) Contains(path string) bool {

@@ -25,12 +25,15 @@ const (
 )
 
 // TestECKillRankDegradedReadsAndRepair is the erasure-coding acceptance
-// test: an ec(2,1) cluster loses a rank without warning mid-workload.
-// Every read issued by the survivors must keep succeeding — first
-// degraded (reconstructed from surviving shards), then, once the
+// test: an erasure-coded cluster loses a rank without warning
+// mid-workload. Every read issued by the survivors must keep succeeding
+// — first degraded (reconstructed from surviving shards), then, once the
 // coordinator's repair job re-homes the dead rank's partitions, via the
 // new owners — and after the repair commit lands everywhere, reads must
-// stop counting as degraded. Run with -race.
+// stop counting as degraded. The second case is a plain whole-world
+// Mount that also carries a broadcast partition: erasure coding works
+// on every mount, and the broadcast files stay local throughout. Run
+// with -race.
 func TestECKillRankDegradedReadsAndRepair(t *testing.T) {
 	const (
 		world      = 4
@@ -39,229 +42,240 @@ func TestECKillRankDegradedReadsAndRepair(t *testing.T) {
 		fileSize   = 4 << 10
 		victimRank = 2
 	)
-	bundle, want := buildBundle(t, dataset.ImageNet, nFiles, nParts, fileSize, nil)
-	paths := make([]string, 0, len(want))
-	for p := range want {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
+	for _, tc := range []struct {
+		name       string
+		redundancy string
+		members    int      // Options.InitialMembers (0: the whole world)
+		broadcast  []string // broadcast dirs, replicated on every member
+	}{
+		{name: "ec(2,1)", redundancy: "ec(2,1)", members: world},
+		{name: "ec(4,2) whole world with broadcast", redundancy: "ec(4,2)",
+			broadcast: []string{"imagenet/d0000", "imagenet/d0001"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bundle, want := buildBundle(t, dataset.ImageNet, nFiles, nParts, fileSize, tc.broadcast)
+			paths := make([]string, 0, len(want))
+			for p := range want {
+				paths = append(paths, p)
+			}
+			sort.Strings(paths)
 
-	err := mpi.Run(world, func(c *mpi.Comm) error {
-		red, err := ParseRedundancy("ec(2,1)")
-		if err != nil {
-			return err
-		}
-		opts := ElasticOptions{
-			Options: Options{
-				// Immediate keeps every read on the fetch path (no warm
-				// cache masking the dead rank), and the timeout is what
-				// turns a call to the corpse into an EC fallback.
-				CacheBytes:   1 << 20,
-				CachePolicy:  Immediate,
-				FetchTimeout: 200 * time.Millisecond,
-				Redundancy:   red,
-			},
-			InitialMembers: world,
-			PullTimeout:    2 * time.Second,
-		}
-		parts := [][]byte{bundle.Scatter[2*c.Rank()], bundle.Scatter[2*c.Rank()+1]}
-		node, err := MountElastic(c, parts, opts)
-		if err != nil {
-			return err
-		}
-		// Shard placement crosses ranks during mount: nobody may die (or
-		// even proceed) until every member's pushes have landed.
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-
-		if c.Rank() == victimRank {
-			// Sanity: the victim serves normally before the crash.
-			if _, err := node.ReadFile(paths[0]); err != nil {
-				return fmt.Errorf("victim pre-crash read: %w", err)
-			}
-			id := node.ID()
-			node.FailStop()
-			var frame [5]byte
-			binary.LittleEndian.PutUint32(frame[1:], uint32(id))
-			if err := c.Send(0, tagTestKilled, frame[:]); err != nil {
-				return err
-			}
-			// The harness needs every rank to return; park until the
-			// survivors are done with the world.
-			_, _, err := c.Recv(0, tagTestRelease)
-			return err
-		}
-
-		defer node.Close()
-
-		// Continuous read workload across the crash and repair.
-		stop := make(chan struct{})
-		var reads atomic.Int64
-		var readerErr error
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				for _, p := range paths {
-					got, err := node.ReadFile(p)
-					if err != nil {
-						readerErr = fmt.Errorf("rank %d mid-crash read %s: %w", c.Rank(), p, err)
-						return
-					}
-					if !bytes.Equal(got, want[p]) {
-						readerErr = fmt.Errorf("rank %d mid-crash read %s: content mismatch", c.Rank(), p)
-						return
-					}
-					reads.Add(1)
-				}
-			}
-		}()
-
-		var victimID member.NodeID
-		if c.Rank() == 0 {
-			data, _, err := c.Recv(victimRank, tagTestKilled)
-			if err != nil {
-				return err
-			}
-			victimID = member.NodeID(int32(binary.LittleEndian.Uint32(data[1:])))
-			// Hold the un-repaired state long enough that every survivor's
-			// reader demonstrably serves reads degraded before the repair
-			// even starts.
-			time.Sleep(300 * time.Millisecond)
-			if err := node.MarkDead(victimID); err != nil {
-				return fmt.Errorf("MarkDead: %w", err)
-			}
-			// Converge: repair queue drained, every record re-homed.
-			deadline := time.Now().Add(15 * time.Second)
-			for {
-				orphans := 0
-				node.mu.RLock()
-				for _, m := range node.meta {
-					if member.NodeID(m.Owner) == victimID {
-						orphans++
-					}
-				}
-				node.mu.RUnlock()
-				if orphans == 0 && node.RebalancePending() == 0 {
-					break
-				}
-				if time.Now().After(deadline) {
-					return fmt.Errorf("repair did not converge: %d orphaned records, %d pending",
-						orphans, node.RebalancePending())
-				}
-				time.Sleep(10 * time.Millisecond)
-			}
-			var vf [5]byte
-			binary.LittleEndian.PutUint32(vf[1:], uint32(victimID))
-			for _, r := range []int{1, 3} {
-				if err := c.Send(r, tagTestRepaired, vf[:]); err != nil {
-					return err
-				}
-			}
-		} else {
-			data, _, err := c.Recv(0, tagTestRepaired)
-			if err != nil {
-				return err
-			}
-			victimID = member.NodeID(int32(binary.LittleEndian.Uint32(data[1:])))
-		}
-
-		// Survivors besides the coordinator: wait for the commit broadcast
-		// to land locally before reporting in.
-		if c.Rank() != 0 {
-			deadline := time.Now().Add(5 * time.Second)
-			for {
-				orphans := 0
-				node.mu.RLock()
-				for _, m := range node.meta {
-					if member.NodeID(m.Owner) == victimID {
-						orphans++
-					}
-				}
-				node.mu.RUnlock()
-				if orphans == 0 {
-					break
-				}
-				if time.Now().After(deadline) {
-					return fmt.Errorf("rank %d: commit never applied locally", c.Rank())
-				}
-				time.Sleep(5 * time.Millisecond)
-			}
-		}
-
-		close(stop)
-		wg.Wait()
-		if readerErr != nil {
-			return readerErr
-		}
-		if reads.Load() == 0 {
-			return fmt.Errorf("rank %d issued no reads across the crash", c.Rank())
-		}
-		degraded := node.ec.degradedReads.Value()
-		if degraded == 0 {
-			return fmt.Errorf("rank %d survived the crash without a single degraded read", c.Rank())
-		}
-
-		// Report in / fan out the freeze check so no member starts it
-		// before every member has applied the commit.
-		var frame [9]byte
-		binary.LittleEndian.PutUint64(frame[1:], uint64(node.ec.repairBytes.Value()))
-		if c.Rank() == 0 {
-			var repaired int64 = node.ec.repairBytes.Value()
-			for i := 0; i < 2; i++ {
-				data, _, err := c.Recv(mpi.AnySource, tagTestApplied)
+			err := mpi.Run(world, func(c *mpi.Comm) error {
+				red, err := ParseRedundancy(tc.redundancy)
 				if err != nil {
 					return err
 				}
-				repaired += int64(binary.LittleEndian.Uint64(data[1:]))
-			}
-			if repaired == 0 {
-				return fmt.Errorf("repair moved zero bytes across the cluster")
-			}
-			for _, r := range []int{1, 3} {
-				if err := c.Send(r, tagTestFreeze, nil); err != nil {
+				opts := Options{
+					// Immediate keeps every read on the fetch path (no warm
+					// cache masking the dead rank), and the timeout is what
+					// turns a call to the corpse into an EC fallback.
+					CacheBytes:     1 << 20,
+					CachePolicy:    Immediate,
+					FetchTimeout:   200 * time.Millisecond,
+					Redundancy:     red,
+					InitialMembers: tc.members,
+					PullTimeout:    2 * time.Second,
+				}
+				parts := [][]byte{bundle.Scatter[2*c.Rank()], bundle.Scatter[2*c.Rank()+1]}
+				node, err := Mount(c, parts, bundle.Broadcast, opts)
+				if err != nil {
 					return err
 				}
-			}
-		} else {
-			if err := c.Send(0, tagTestApplied, frame[:]); err != nil {
-				return err
-			}
-			if _, _, err := c.Recv(0, tagTestFreeze); err != nil {
-				return err
-			}
-		}
+				// Shard placement crosses ranks during mount: nobody may die (or
+				// even proceed) until every member's pushes have landed.
+				if err := c.Barrier(); err != nil {
+					return err
+				}
 
-		// Freeze check: with the repair committed everywhere, reads route
-		// to the new owners and must not count as degraded anymore.
-		before := node.ec.degradedReads.Value()
-		for _, p := range paths {
-			got, err := node.ReadFile(p)
+				if c.Rank() == victimRank {
+					// Sanity: the victim serves normally before the crash.
+					if _, err := node.ReadFile(paths[0]); err != nil {
+						return fmt.Errorf("victim pre-crash read: %w", err)
+					}
+					id := node.ID()
+					node.FailStop()
+					var frame [5]byte
+					binary.LittleEndian.PutUint32(frame[1:], uint32(id))
+					if err := c.Send(0, tagTestKilled, frame[:]); err != nil {
+						return err
+					}
+					// The harness needs every rank to return; park until the
+					// survivors are done with the world.
+					_, _, err := c.Recv(0, tagTestRelease)
+					return err
+				}
+
+				defer node.Close()
+
+				// Continuous read workload across the crash and repair.
+				stop := make(chan struct{})
+				var reads atomic.Int64
+				var readerErr error
+				var wg sync.WaitGroup
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						for _, p := range paths {
+							got, err := node.ReadFile(p)
+							if err != nil {
+								readerErr = fmt.Errorf("rank %d mid-crash read %s: %w", c.Rank(), p, err)
+								return
+							}
+							if !bytes.Equal(got, want[p]) {
+								readerErr = fmt.Errorf("rank %d mid-crash read %s: content mismatch", c.Rank(), p)
+								return
+							}
+							reads.Add(1)
+						}
+					}
+				}()
+
+				var victimID member.NodeID
+				if c.Rank() == 0 {
+					data, _, err := c.Recv(victimRank, tagTestKilled)
+					if err != nil {
+						return err
+					}
+					victimID = member.NodeID(int32(binary.LittleEndian.Uint32(data[1:])))
+					// Hold the un-repaired state long enough that every survivor's
+					// reader demonstrably serves reads degraded before the repair
+					// even starts.
+					time.Sleep(300 * time.Millisecond)
+					if err := node.MarkDead(victimID); err != nil {
+						return fmt.Errorf("MarkDead: %w", err)
+					}
+					// Converge: repair queue drained, every record re-homed.
+					deadline := time.Now().Add(15 * time.Second)
+					for {
+						orphans := 0
+						node.mu.RLock()
+						for _, m := range node.meta {
+							if member.NodeID(m.Owner) == victimID {
+								orphans++
+							}
+						}
+						node.mu.RUnlock()
+						if orphans == 0 && node.RebalancePending() == 0 {
+							break
+						}
+						if time.Now().After(deadline) {
+							return fmt.Errorf("repair did not converge: %d orphaned records, %d pending",
+								orphans, node.RebalancePending())
+						}
+						time.Sleep(10 * time.Millisecond)
+					}
+					var vf [5]byte
+					binary.LittleEndian.PutUint32(vf[1:], uint32(victimID))
+					for _, r := range []int{1, 3} {
+						if err := c.Send(r, tagTestRepaired, vf[:]); err != nil {
+							return err
+						}
+					}
+				} else {
+					data, _, err := c.Recv(0, tagTestRepaired)
+					if err != nil {
+						return err
+					}
+					victimID = member.NodeID(int32(binary.LittleEndian.Uint32(data[1:])))
+				}
+
+				// Survivors besides the coordinator: wait for the commit broadcast
+				// to land locally before reporting in.
+				if c.Rank() != 0 {
+					deadline := time.Now().Add(5 * time.Second)
+					for {
+						orphans := 0
+						node.mu.RLock()
+						for _, m := range node.meta {
+							if member.NodeID(m.Owner) == victimID {
+								orphans++
+							}
+						}
+						node.mu.RUnlock()
+						if orphans == 0 {
+							break
+						}
+						if time.Now().After(deadline) {
+							return fmt.Errorf("rank %d: commit never applied locally", c.Rank())
+						}
+						time.Sleep(5 * time.Millisecond)
+					}
+				}
+
+				close(stop)
+				wg.Wait()
+				if readerErr != nil {
+					return readerErr
+				}
+				if reads.Load() == 0 {
+					return fmt.Errorf("rank %d issued no reads across the crash", c.Rank())
+				}
+				degraded := node.ec.degradedReads.Value()
+				if degraded == 0 {
+					return fmt.Errorf("rank %d survived the crash without a single degraded read", c.Rank())
+				}
+
+				// Report in / fan out the freeze check so no member starts it
+				// before every member has applied the commit.
+				var frame [9]byte
+				binary.LittleEndian.PutUint64(frame[1:], uint64(node.ec.repairBytes.Value()))
+				if c.Rank() == 0 {
+					var repaired int64 = node.ec.repairBytes.Value()
+					for i := 0; i < 2; i++ {
+						data, _, err := c.Recv(mpi.AnySource, tagTestApplied)
+						if err != nil {
+							return err
+						}
+						repaired += int64(binary.LittleEndian.Uint64(data[1:]))
+					}
+					if repaired == 0 {
+						return fmt.Errorf("repair moved zero bytes across the cluster")
+					}
+					for _, r := range []int{1, 3} {
+						if err := c.Send(r, tagTestFreeze, nil); err != nil {
+							return err
+						}
+					}
+				} else {
+					if err := c.Send(0, tagTestApplied, frame[:]); err != nil {
+						return err
+					}
+					if _, _, err := c.Recv(0, tagTestFreeze); err != nil {
+						return err
+					}
+				}
+
+				// Freeze check: with the repair committed everywhere, reads route
+				// to the new owners and must not count as degraded anymore.
+				before := node.ec.degradedReads.Value()
+				for _, p := range paths {
+					got, err := node.ReadFile(p)
+					if err != nil {
+						return fmt.Errorf("rank %d post-repair read %s: %w", c.Rank(), p, err)
+					}
+					if !bytes.Equal(got, want[p]) {
+						return fmt.Errorf("rank %d post-repair read %s: content mismatch", c.Rank(), p)
+					}
+				}
+				if after := node.ec.degradedReads.Value(); after != before {
+					return fmt.Errorf("rank %d: %d post-repair reads still degraded", c.Rank(), after-before)
+				}
+
+				if c.Rank() == 0 {
+					return c.Send(victimRank, tagTestRelease, nil)
+				}
+				return nil
+			})
 			if err != nil {
-				return fmt.Errorf("rank %d post-repair read %s: %w", c.Rank(), p, err)
+				t.Fatal(err)
 			}
-			if !bytes.Equal(got, want[p]) {
-				return fmt.Errorf("rank %d post-repair read %s: content mismatch", c.Rank(), p)
-			}
-		}
-		if after := node.ec.degradedReads.Value(); after != before {
-			return fmt.Errorf("rank %d: %d post-repair reads still degraded", c.Rank(), after-before)
-		}
-
-		if c.Rank() == 0 {
-			return c.Send(victimRank, tagTestRelease, nil)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		})
 	}
 }
 
@@ -286,11 +300,9 @@ func TestLeaveWithDeadDestinationFailsLoudly(t *testing.T) {
 		for _, blob := range bundle.Scatter {
 			total += int64(len(blob))
 		}
-		opts := ElasticOptions{
-			Options: Options{
-				CacheBytes:   1 << 20,
-				FetchTimeout: 150 * time.Millisecond,
-			},
+		opts := Options{
+			CacheBytes:     1 << 20,
+			FetchTimeout:   150 * time.Millisecond,
 			InitialMembers: world,
 			// Half the dataset per node: the survivor that already owns a
 			// third cannot absorb both of the leaver's partitions, so the
@@ -299,7 +311,7 @@ func TestLeaveWithDeadDestinationFailsLoudly(t *testing.T) {
 			PullTimeout:  400 * time.Millisecond,
 		}
 		parts := [][]byte{bundle.Scatter[2*c.Rank()], bundle.Scatter[2*c.Rank()+1]}
-		node, err := MountElastic(c, parts, opts)
+		node, err := Mount(c, parts, nil, opts)
 		if err != nil {
 			return err
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -32,7 +33,7 @@ const (
 	// shards (internal/ec) scattered across the cluster at m/k overhead.
 	// Losing up to m nodes keeps every object readable through degraded
 	// reads that reconstruct the stripe from k survivors; a background
-	// repair restores full redundancy. Elastic mounts only.
+	// repair restores full redundancy.
 	RedundancyEC
 )
 
@@ -220,30 +221,28 @@ func (n *Node) ecStoreShard(sh pack.Shard) {
 	n.ec.mu.Unlock()
 }
 
-// ecPushShards encodes and scatters the shards of every partition this
-// node owns, under the current map. Called at mount (initial placement)
-// and after a repair commit re-homes partitions (countRepair: the
-// pushed bytes count into ec.repair.bytes — this is the re-encode that
-// restores full redundancy after a loss).
-func (n *Node) ecPushShards(countRepair bool) error {
-	if n.ec == nil {
-		return nil
-	}
+// ecPushShards encodes and scatters, under cm, the shards of the given
+// owned partitions (nil: all of them). Mount runs it for the initial
+// placement; a commit that hands this node partitions runs it with
+// repair set: the pushed bytes count into ec.repair.bytes, and an event
+// reports the re-encode that restores full redundancy after a loss.
+func (n *Node) ecPushShards(cm *member.ClusterMap, gids []uint64, repair bool) error {
 	n.mu.RLock()
-	parts := make([]*nodePart, 0, len(n.parts))
-	for _, p := range n.parts {
-		parts = append(parts, p)
+	var parts []*nodePart
+	for gid, p := range n.parts {
+		if gids == nil || slices.Contains(gids, gid) {
+			parts = append(parts, p)
+		}
 	}
 	n.mu.RUnlock()
 	sort.Slice(parts, func(i, j int) bool { return parts[i].gid < parts[j].gid })
-	cm := n.view.Map()
 	var lastErr error
 	for _, p := range parts {
-		if err := n.ecPushPartition(cm, p, countRepair); err != nil {
+		if err := n.ecPushPartition(cm, p, repair); err != nil {
 			lastErr = err
 		}
 	}
-	if countRepair && len(parts) > 0 && n.events.Enabled() {
+	if repair && len(parts) > 0 && n.events.Enabled() {
 		if lastErr != nil {
 			n.events.Emitf(obs.EvECRepair, obs.SevError,
 				"re-encoded shards for %d partitions under map v%d; incomplete: %v", len(parts), cm.Version, lastErr)
@@ -259,8 +258,12 @@ func (n *Node) ecPushShards(countRepair bool) error {
 // to their holders. Local slots store directly; remote slots go through
 // opStoreShard, one call per holder carrying all its shards.
 func (n *Node) ecPushPartition(cm *member.ClusterMap, p *nodePart, countRepair bool) error {
+	blob, err := n.backend.Blob(p.paths[0])
+	if err != nil {
+		return err
+	}
 	code := n.ec.code
-	shards := code.Split(p.blob)
+	shards := code.Split(blob)
 	if err := code.Encode(shards); err != nil {
 		return err
 	}
@@ -268,8 +271,8 @@ func (n *Node) ecPushPartition(cm *member.ClusterMap, p *nodePart, countRepair b
 		GID:      p.gid,
 		K:        uint8(code.K()),
 		M:        uint8(code.M()),
-		BlobSize: uint64(len(p.blob)),
-		BlobCRC:  crc32.ChecksumIEEE(p.blob),
+		BlobSize: uint64(len(blob)),
+		BlobCRC:  crc32.ChecksumIEEE(blob),
 	}
 	holders := n.ecShardHolders(cm, n.selfID, p.gid)
 	if len(holders) == 0 {

@@ -8,21 +8,24 @@ import (
 	"sync"
 	"time"
 
+	"fanstore/internal/bufpool"
 	"fanstore/internal/member"
 	"fanstore/internal/metrics"
 	"fanstore/internal/mpi"
 	"fanstore/internal/obs"
 )
 
-// Elastic mode: the fixed-size mpi world becomes a pool of slots, and the
+// Membership: the fixed-size mpi world is a pool of slots, and the
 // member package's versioned ClusterMap decides which slots are cluster
-// members. Ranks 0..InitialMembers-1 call MountElastic collectively
-// (rank 0 runs the coordinator); any other slot can later call
-// JoinCluster, which admits it to the map, ships it the metadata table,
-// and triggers an online delta rebalance — moving partitions stream to
-// the new owner over the ordinary fetch worker pool while every member
-// keeps serving reads, and the handoff only commits (map version bump +
-// ownership rewrite + old-owner drop) once all transfers have landed.
+// members. Ranks 0..InitialMembers-1 call Mount collectively (rank 0
+// runs the coordinator; 0 means the whole world); any other slot can
+// later call JoinCluster, which admits it to the map, ships it the
+// metadata table, and triggers an online delta rebalance — moving
+// partitions stream to the new owner over the ordinary fetch worker pool
+// while every member keeps serving reads, and the handoff only commits
+// (map version bump + ownership rewrite + old-owner drop) once all
+// transfers have landed. A world that never grows or shrinks is the same
+// cluster with a map that never moves past its initial version.
 //
 // The control plane is a star on tagCtrl: members talk to the
 // coordinator, the coordinator broadcasts commits. Reads never wait on
@@ -33,7 +36,7 @@ import (
 // Control ops, the first byte of every tagCtrl frame.
 const (
 	ctrlRegister = byte(1)  // member -> coord: partition inventory at mount
-	ctrlTable    = byte(2)  // coord -> member: full metadata table
+	ctrlTable    = byte(2)  // coord -> member: metadata table
 	ctrlJoin     = byte(3)  // joiner -> coord: rebalance me in
 	ctrlMove     = byte(4)  // coord -> dest: pull one partition
 	ctrlMoved    = byte(5)  // dest -> coord: pull finished (ok or failed)
@@ -43,25 +46,6 @@ const (
 	ctrlBye      = byte(9)  // member -> coord: done with the namespace
 	ctrlByeAck   = byte(10) // coord -> members: everyone said bye, shut down
 )
-
-// ElasticOptions configures an elastic mount.
-type ElasticOptions struct {
-	Options
-	// InitialMembers is how many ranks (0..InitialMembers-1) mount
-	// collectively at start; the remaining slots are spare capacity for
-	// JoinCluster. 0 means the whole world (a fully-populated elastic
-	// cluster, still able to shrink).
-	InitialMembers int
-	// NodeCapacity bounds each member's partition bytes for rebalance
-	// planning (0: effectively unbounded — the aggregate dataset size).
-	NodeCapacity int64
-	// PullTimeout bounds how long the coordinator waits for a dispatched
-	// partition pull to ack before treating the destination as failed and
-	// re-planning the transfer (default 30s). A destination that dies
-	// mid-pull never acks — without the watchdog the partition would park
-	// in the registry forever.
-	PullTimeout time.Duration
-}
 
 // transfer is one partition changing owner in a rebalance.
 type transfer struct {
@@ -84,10 +68,9 @@ type partRec struct {
 type coordState struct {
 	registry map[uint64]*partRec
 	// One rebalance runs at a time; later joins/leaves queue.
-	active  *rebalanceJob
-	queue   []*rebalanceJob
-	byes    map[member.NodeID]bool
-	closing bool
+	active *rebalanceJob
+	queue  []*rebalanceJob
+	byes   map[member.NodeID]bool
 }
 
 // maxJobAttempts bounds how many dispatch rounds one rebalance job may
@@ -106,23 +89,25 @@ type rebalanceJob struct {
 	leaveRank int
 }
 
-// elasticCtrl is a Node's elastic control plane: membership handle, ctrl
-// listener, commit signaling, and (on the coordinator) the rebalance
-// state machine.
+// elasticCtrl is a Node's control plane: ctrl listener, commit
+// signaling, and (on the coordinator) the rebalance state machine.
 type elasticCtrl struct {
 	n         *Node
 	mem       *member.Membership
 	coordRank int
-	opts      ElasticOptions
+	opts      Options
 
-	wg sync.WaitGroup // ctrl loop
+	// done is closed when the ctrl loop exits: after the shutdown
+	// handshake, on a poison pill, or when the world aborts. Every wait
+	// on the coordinator also selects on it, so a dead world ends the
+	// wait at once instead of at its timer.
+	done chan struct{}
 
 	mu      sync.Mutex
 	waiters []*commitWaiter
 	coord   *coordState // nil on non-coordinators
 
-	drained chan byte     // drain-ack status from the coordinator (1: fully drained)
-	byeAck  chan struct{} // closed when the coordinator acks shutdown
+	drained chan byte // drain-ack status from the coordinator (1: fully drained)
 
 	rebalBytes   *metrics.Counter
 	rebalPending *metrics.Gauge
@@ -134,19 +119,19 @@ type commitWaiter struct {
 	ch         chan struct{}
 }
 
-func newElasticCtrl(n *Node, mem *member.Membership, coordRank int, opts ElasticOptions) *elasticCtrl {
+func newElasticCtrl(n *Node, opts Options) *elasticCtrl {
 	e := &elasticCtrl{
 		n:            n,
-		mem:          mem,
-		coordRank:    coordRank,
+		mem:          n.mem,
+		coordRank:    n.mem.CoordRank(),
 		opts:         opts,
+		done:         make(chan struct{}),
 		drained:      make(chan byte, 1),
-		byeAck:       make(chan struct{}),
 		rebalBytes:   n.reg.Counter("rebalance.bytes.moved"),
 		rebalPending: n.reg.Gauge("rebalance.partitions.pending"),
 		jobsFailed:   n.reg.Counter("rebalance.jobs.failed"),
 	}
-	if mem.IsCoordinator() {
+	if n.mem.IsCoordinator() {
 		e.coord = &coordState{
 			registry: make(map[uint64]*partRec),
 			byes:     make(map[member.NodeID]bool),
@@ -155,12 +140,14 @@ func newElasticCtrl(n *Node, mem *member.Membership, coordRank int, opts Elastic
 	return e
 }
 
-// MountElastic mounts an elastic FanStore over ranks
-// 0..InitialMembers-1 of the world; rank 0 runs the coordinator. Unlike
-// the static Mount it uses no world-wide collectives — metadata flows
-// through the coordinator star — so the remaining slots stay free for
-// later JoinCluster calls. Each mounting rank passes its own partitions.
-func MountElastic(comm *mpi.Comm, partitions [][]byte, opts ElasticOptions) (*Node, error) {
+// Mount loads this rank's partitions (plus an optional broadcast
+// partition every member holds locally), exchanges metadata and replica
+// announcements through the coordinator, and starts the daemon. Ranks
+// 0..opts.InitialMembers-1 (0: the whole world) call Mount collectively,
+// each with its own partitions; rank 0 runs the coordinator. No
+// world-wide collective runs, so the remaining slots stay free for later
+// JoinCluster calls.
+func Mount(comm *mpi.Comm, partitions [][]byte, broadcast []byte, opts Options) (*Node, error) {
 	members := opts.InitialMembers
 	if members <= 0 {
 		members = comm.Size()
@@ -168,203 +155,230 @@ func MountElastic(comm *mpi.Comm, partitions [][]byte, opts ElasticOptions) (*No
 	if comm.Rank() >= members {
 		return nil, fmt.Errorf("fanstore: rank %d is not an initial member (InitialMembers=%d); use JoinCluster", comm.Rank(), members)
 	}
-	const coordRank = 0
-	var mem *member.Membership
-	if comm.Rank() == coordRank {
-		mem = member.StartCoordinator(comm)
-	} else {
-		var err error
-		mem, err = member.Join(comm, coordRank)
-		if err != nil {
-			return nil, err
-		}
-	}
-	n, err := newNode(comm, mem.View(), mem.ID(), true, opts.Options)
+	mem := member.Start(comm, members)
+	n, err := newNode(comm, mem, opts)
 	if err != nil {
 		mem.Close()
 		return nil, err
 	}
-	n.mem = mem
 	mem.SetEvents(opts.Events)
-	e := newElasticCtrl(n, mem, coordRank, opts)
-	n.ectrl = e
-
-	// Load this rank's partitions under cluster-unique gids.
-	var localMetas []FileMeta
-	var localParts []*partRec
-	for i, blob := range partitions {
-		// +1 keeps every gid nonzero, so FileMeta.PartGID == 0 can mean
-		// "not in any partition" (written files, static mounts).
-		gid := uint64(mem.ID()+1)<<32 | uint64(i)
-		metas, err := n.loadPartitionGID(gid, blob)
-		if err != nil {
-			mem.Close()
-			return nil, err
-		}
-		localMetas = append(localMetas, metas...)
-		localParts = append(localParts, &partRec{gid: gid, size: int64(len(blob)), owner: mem.ID(), metas: metas})
+	if err := n.exchangeMeta(partitions, broadcast, members); err != nil {
+		mem.Close()
+		return nil, fmt.Errorf("fanstore: mount: %w", err)
 	}
-
-	if mem.IsCoordinator() {
-		// Gather the other initial members' inventories, merge, reply
-		// with the full table. Frames that are not registrations (an
-		// eager joiner racing the mount) are deferred to the ctrl loop.
-		for _, rec := range localParts {
-			e.coord.registry[rec.gid] = rec
-		}
-		for i := range localMetas {
-			n.addMeta(localMetas[i])
-		}
-		var deferred []ctrlFrame
-		seen := 0
-		for seen < members-1 {
-			data, src, err := comm.Recv(mpi.AnySource, tagCtrl)
-			if err != nil {
-				mem.Close()
-				return nil, fmt.Errorf("fanstore: elastic mount: %w", err)
-			}
-			if len(data) == 0 || data[0] != ctrlRegister {
-				deferred = append(deferred, ctrlFrame{data: data, src: src})
-				continue
-			}
-			recs, metas, err := decodeRegister(data[1:])
-			if err != nil {
-				mem.Close()
-				return nil, fmt.Errorf("fanstore: rank %d registration: %w", src, err)
-			}
-			for _, rec := range recs {
-				e.coord.registry[rec.gid] = rec
-			}
-			for i := range metas {
-				n.addMeta(metas[i])
-			}
-			seen++
-		}
-		table := e.encodeTable()
-		for r := 1; r < members; r++ {
-			if err := comm.Send(r, tagCtrl, table); err != nil {
-				mem.Close()
-				return nil, fmt.Errorf("fanstore: elastic mount: %w", err)
-			}
-		}
-		e.wg.Add(1)
-		go e.ctrlLoop(deferred)
-	} else {
-		reg := encodeRegister(mem.ID(), localParts)
-		if err := comm.Send(coordRank, tagCtrl, reg); err != nil {
-			mem.Close()
-			return nil, fmt.Errorf("fanstore: elastic mount: %w", err)
-		}
-		data, _, err := comm.Recv(coordRank, tagCtrl)
-		if err != nil || len(data) == 0 || data[0] != ctrlTable {
-			mem.Close()
-			return nil, fmt.Errorf("fanstore: elastic mount: bad table frame (%v)", err)
-		}
-		metas, err := decodeMetas(data[1:])
-		if err != nil {
-			mem.Close()
-			return nil, fmt.Errorf("fanstore: elastic mount: %w", err)
-		}
-		for i := range metas {
-			n.addMeta(metas[i])
-		}
-		e.wg.Add(1)
-		go e.ctrlLoop(nil)
-	}
-
 	go n.server.Serve()
 
 	if n.ec != nil {
 		// Initial shard placement: every owner splits its partitions into
-		// k+m erasure shards and scatters them under the initial-member
-		// map. Non-coordinators sync their view first — admission
-		// broadcasts may still be in flight, but by table time every
-		// initial member has registered, so the synced map is complete.
-		// Each rank's own server is already serving, so the cross-pushes
-		// cannot deadlock: requests queue in mailboxes until every peer
-		// reaches its serve loop.
-		if !mem.IsCoordinator() {
-			if _, err := mem.Sync(); err != nil {
-				return nil, fmt.Errorf("fanstore: elastic mount: %w", err)
-			}
-		}
-		if err := n.ecPushShards(false); err != nil {
-			return nil, fmt.Errorf("fanstore: elastic mount: shard placement: %w", err)
+		// k+m erasure shards and scatters them under the initial map,
+		// which every member holds from the start. Each rank's own server
+		// is already serving, so the cross-pushes cannot deadlock:
+		// requests queue in mailboxes until every peer reaches its serve
+		// loop.
+		if err := n.ecPushShards(n.view.Map(), nil, false); err != nil {
+			return nil, fmt.Errorf("fanstore: mount: shard placement: %w", err)
 		}
 	}
 	return n, nil
 }
 
-// JoinCluster admits this rank to a running elastic cluster: membership
-// join, metadata table download, and the triggered delta rebalance. It
-// returns once the rebalance commit lands, so the returned node already
-// owns its share of the partitions and the map version has advanced.
-func JoinCluster(comm *mpi.Comm, coordRank int, opts ElasticOptions) (*Node, error) {
+// exchangeMeta is Mount's metadata exchange. Each member loads its
+// partitions under cluster-unique gids and registers them with the
+// coordinator: the partition inventory plus a table segment — its
+// replica announcements and its records, encoded once. The coordinator
+// forwards every other member's segment to each member as received (no
+// member gets its own records back, nothing is re-encoded), and only
+// then decodes the registrations into its registry and table, while the
+// members install theirs. Then every member starts its ctrl loop.
+func (n *Node) exchangeMeta(partitions [][]byte, broadcast []byte, members int) error {
+	e := n.ectrl
+	var local []*partRec
+	var metas []FileMeta
+	for i, blob := range partitions {
+		// +1 keeps every gid nonzero, so FileMeta.PartGID == 0 can mean
+		// "in no partition the cluster moves" (written files, the
+		// broadcast partition).
+		gid := uint64(n.selfID+1)<<32 | uint64(i)
+		pm, err := n.loadPartition(gid, blob)
+		if err != nil {
+			return err
+		}
+		metas = append(metas, pm...)
+		local = append(local, &partRec{gid: gid, size: int64(len(blob)), owner: n.selfID, metas: pm})
+	}
+	// Replica partitions are served locally but owned by the node that
+	// registers them; this node announces only their paths, so peers can
+	// route fetches here as an alternative to the owner.
+	var replicas []string
+	for _, blob := range e.opts.Replicas {
+		rm, err := n.loadPartition(0, blob)
+		if err != nil {
+			return err
+		}
+		for i := range rm {
+			replicas = append(replicas, rm[i].Path)
+		}
+	}
+	// The broadcast partition (validation data) is local on every member
+	// but owned by the coordinator for metadata purposes: only its
+	// records enter the table, under gid 0, so it is never rebalanced.
+	if broadcast != nil {
+		bm, err := n.loadPartition(0, broadcast)
+		if err != nil {
+			return err
+		}
+		if n.mem.IsCoordinator() {
+			metas = append(metas, bm...)
+		}
+	}
+	own := segment{id: n.selfID, replicas: encodePaths(replicas), metas: encodeMetas(metas)}
+
+	if !n.mem.IsCoordinator() {
+		if err := n.comm.Send(e.coordRank, tagCtrl, encodeRegister(local, own)); err != nil {
+			return err
+		}
+		n.addMeta(metas...) // while the coordinator assembles the table
+		data, _, err := n.comm.Recv(e.coordRank, tagCtrl)
+		if err == nil {
+			err = n.installTable(data)
+			bufpool.Put(data) // installTable copied what it keeps
+		}
+		if err != nil {
+			return err
+		}
+		go e.ctrlLoop(nil)
+		return nil
+	}
+
+	// Coordinator: gather the other initial members' registrations.
+	// Frames that are not registrations (an eager joiner racing the
+	// mount) are deferred to the ctrl loop.
+	type registration struct {
+		rank   int
+		parts  []*partRec
+		counts []int // records per partition, in segment order
+		seg    segment
+	}
+	regs := []registration{{rank: n.comm.Rank(), parts: local, seg: own}}
+	var deferred []ctrlFrame
+	for len(regs) < members {
+		data, src, err := n.comm.Recv(mpi.AnySource, tagCtrl)
+		if err != nil {
+			return err
+		}
+		if len(data) == 0 || data[0] != ctrlRegister {
+			deferred = append(deferred, ctrlFrame{data: data, src: src})
+			continue
+		}
+		parts, counts, seg, err := parseRegister(data[1:])
+		if err != nil {
+			return fmt.Errorf("rank %d registration: %w", src, err)
+		}
+		regs = append(regs, registration{rank: src, parts: parts, counts: counts, seg: seg})
+	}
+	size := 1
+	for _, r := range regs {
+		size += 12 + len(r.seg.replicas) + len(r.seg.metas)
+	}
+	for _, to := range regs[1:] {
+		table := append(bufpool.Get(size), ctrlTable)
+		for _, r := range regs {
+			if r.rank != to.rank {
+				table = r.seg.append(table)
+			}
+		}
+		if err := n.comm.SendOwned(to.rank, tagCtrl, table); err != nil {
+			return err
+		}
+	}
+	// The members are installing their tables; build the registry and
+	// the authoritative table joiners and metadata syncs are served from.
+	n.addMeta(metas...)
+	for _, r := range regs {
+		if r.rank != n.comm.Rank() {
+			recs, err := decodeMetas(r.seg.metas)
+			if err != nil {
+				return err
+			}
+			for i, p := range r.parts {
+				if r.counts[i] > len(recs) {
+					return fmt.Errorf("rank %d registration: short records", r.rank)
+				}
+				p.metas, recs = recs[:r.counts[i]:r.counts[i]], recs[r.counts[i]:]
+				n.addMeta(p.metas...)
+			}
+		}
+		for _, p := range r.parts {
+			e.coord.registry[p.gid] = p
+		}
+	}
+	// Announcements attach once every owner record exists, whatever the
+	// registration order.
+	for _, r := range regs {
+		if err := n.noteReplicas(r.seg); err != nil {
+			return err
+		}
+	}
+	go e.ctrlLoop(deferred)
+	return nil
+}
+
+// JoinCluster admits this rank to a running cluster: membership join,
+// metadata table download, and the triggered delta rebalance. It returns
+// once the rebalance commit lands, so the returned node already owns its
+// share of the partitions and the map version has advanced. opts.Replicas
+// is not announced: a joiner's partitions all come from the rebalance.
+func JoinCluster(comm *mpi.Comm, coordRank int, opts Options) (*Node, error) {
 	mem, err := member.Join(comm, coordRank)
 	if err != nil {
 		return nil, err
 	}
 	joinedVersion := mem.View().Version()
-	n, err := newNode(comm, mem.View(), mem.ID(), true, opts.Options)
+	n, err := newNode(comm, mem, opts)
 	if err != nil {
 		mem.Close()
 		return nil, err
 	}
-	n.mem = mem
 	mem.SetEvents(opts.Events)
-	e := newElasticCtrl(n, mem, coordRank, opts)
-	n.ectrl = e
+	e := n.ectrl
 
 	// Announce; the coordinator replies with the table, then plans the
 	// rebalance. The fetch daemon must be serving before the table
 	// arrives — move pulls may target this node immediately after.
 	go n.server.Serve()
 
-	var req [5]byte
-	req[0] = ctrlJoin
-	binary.LittleEndian.PutUint32(req[1:], uint32(mem.ID()))
-	if err := comm.Send(coordRank, tagCtrl, req[:]); err != nil {
+	if err := comm.Send(coordRank, tagCtrl, []byte{ctrlJoin}); err != nil {
 		mem.Close()
 		return nil, fmt.Errorf("fanstore: join: %w", err)
 	}
 	data, _, err := comm.Recv(coordRank, tagCtrl)
-	if err != nil || len(data) == 0 || data[0] != ctrlTable {
-		mem.Close()
-		return nil, fmt.Errorf("fanstore: join: bad table frame (%v)", err)
+	if err == nil {
+		err = n.installTable(data)
 	}
-	metas, err := decodeMetas(data[1:])
 	if err != nil {
 		mem.Close()
 		return nil, fmt.Errorf("fanstore: join: %w", err)
 	}
-	for i := range metas {
-		n.addMeta(metas[i])
-	}
 	wait := e.addWaiter(joinedVersion + 1)
-	e.wg.Add(1)
 	go e.ctrlLoop(nil)
 
 	// The join rebalance always ends in a commit (even a no-move one),
 	// whose version is strictly above the admission version.
 	select {
 	case <-wait:
+		return n, nil
+	case <-e.done:
 	case <-time.After(60 * time.Second):
-		// Tear the half-joined node down: stop the ctrl loop, leave the
-		// map best-effort (member requests are deadline-bounded, so a
-		// dead coordinator cannot re-wedge us), and shut the local
-		// daemons down — a failed join must leak neither goroutines nor
-		// a ghost member that future rebalances would target.
-		n.closed.Store(true)
-		_ = comm.Send(comm.Rank(), tagCtrl, nil) // poison the ctrl loop
-		e.wg.Wait()
-		_ = mem.Leave()
-		mem.Close() // idempotent when Leave already closed
-		n.server.Stop()
-		n.decode.Close()
-		_ = n.backend.Close()
-		return nil, fmt.Errorf("fanstore: join: rebalance commit did not arrive")
 	}
-	return n, nil
+	// Tear the half-joined node down: leave the map best-effort (member
+	// requests are deadline-bounded, so a dead coordinator cannot
+	// re-wedge us) and shut the local daemons down — a failed join must
+	// leak neither goroutines nor a ghost member that future rebalances
+	// would target.
+	n.closed.Store(true)
+	_ = mem.Leave()
+	_ = n.shutdown()
+	return nil, fmt.Errorf("fanstore: join: rebalance commit did not arrive")
 }
 
 // addWaiter registers a channel closed by the first commit at or above
@@ -406,7 +420,7 @@ type ctrlFrame struct {
 // acks advance the active job, and the commit is cut here, so every map
 // mutation observed by the data plane is totally ordered.
 func (e *elasticCtrl) ctrlLoop(deferred []ctrlFrame) {
-	defer e.wg.Done()
+	defer close(e.done)
 	for _, f := range deferred {
 		if e.handleCtrl(f.data, f.src) {
 			return
@@ -430,18 +444,17 @@ func (e *elasticCtrl) handleCtrl(data []byte, src int) bool {
 	}
 	switch data[0] {
 	case ctrlJoin:
-		if e.coord == nil || len(data) < 5 {
+		if e.coord == nil {
 			return false
 		}
-		id := member.NodeID(int32(binary.LittleEndian.Uint32(data[1:])))
 		_ = e.n.comm.Send(src, tagCtrl, e.encodeTable())
-		e.enqueueJob(&rebalanceJob{leaver: member.NoNode, leaveRank: -1}, id)
+		e.enqueueJob(&rebalanceJob{leaver: member.NoNode, leaveRank: -1})
 	case ctrlLeave:
 		if e.coord == nil || len(data) < 5 {
 			return false
 		}
 		id := member.NodeID(int32(binary.LittleEndian.Uint32(data[1:])))
-		e.enqueueJob(&rebalanceJob{leaver: id, leaveRank: src}, member.NoNode)
+		e.enqueueJob(&rebalanceJob{leaver: id, leaveRank: src})
 	case ctrlMove:
 		if len(data) < 13 {
 			return false
@@ -468,7 +481,6 @@ func (e *elasticCtrl) handleCtrl(data []byte, src int) bool {
 		id := member.NodeID(int32(binary.LittleEndian.Uint32(data[1:])))
 		return e.noteBye(id)
 	case ctrlByeAck:
-		close(e.byeAck)
 		return true
 	case ctrlDrained:
 		// Status byte: 1 means every partition left this node. The send
@@ -486,9 +498,8 @@ func (e *elasticCtrl) handleCtrl(data []byte, src int) bool {
 	return false
 }
 
-// enqueueJob starts (or queues) a rebalance. joiner is the node that
-// triggered it for a join, NoNode for a leave.
-func (e *elasticCtrl) enqueueJob(job *rebalanceJob, joiner member.NodeID) {
+// enqueueJob starts (or queues) a rebalance.
+func (e *elasticCtrl) enqueueJob(job *rebalanceJob) {
 	e.mu.Lock()
 	if e.coord.active != nil {
 		e.coord.queue = append(e.coord.queue, job)
@@ -660,9 +671,9 @@ func (e *elasticCtrl) pullPartition(gid uint64, from member.NodeID) {
 		req[0] = opFetchPart
 		binary.LittleEndian.PutUint64(req[1:], gid)
 		if blob, _, err := e.n.client.Call(rank, req[:]); err == nil {
-			// The reply frame is ours and never recycled: the backend
+			// The reply frame is ours and never recycled: the RAM backend
 			// aliases the blob for as long as it holds the partition.
-			if _, err := e.n.loadPartitionGID(gid, blob); err == nil {
+			if _, err := e.n.loadPartition(gid, blob); err == nil {
 				e.rebalBytes.Add(int64(len(blob)))
 				ok = true
 			}
@@ -675,7 +686,7 @@ func (e *elasticCtrl) pullPartition(gid uint64, from member.NodeID) {
 		// pull: it restores an owned full copy without any replica of the
 		// lost partition existing anywhere.
 		if dp, err := e.n.ecRebuildPart(gid); err == nil {
-			if _, err := e.n.loadPartitionGID(gid, dp.blob); err == nil {
+			if _, err := e.n.loadPartition(gid, dp.blob); err == nil {
 				e.n.ec.repairBytes.Add(int64(len(dp.blob)))
 				e.rebalBytes.Add(int64(len(dp.blob)))
 				ok = true
@@ -860,9 +871,7 @@ func (e *elasticCtrl) applyCommit(cm *member.ClusterMap, transfers []transfer, m
 		e.n.events.Emitf(obs.EvRebalanceCommit, obs.SevInfo,
 			"rebalance committed under map v%d: %d transfer(s) applied", cm.Version, len(transfers))
 	}
-	for i := range metas {
-		e.n.addMeta(metas[i])
-	}
+	e.n.addMeta(metas...)
 	var takenOver []uint64
 	for _, tr := range transfers {
 		if tr.from == e.n.selfID {
@@ -886,24 +895,10 @@ func (e *elasticCtrl) applyCommit(cm *member.ClusterMap, transfers []transfer, m
 			// post-commit map, restoring full m-loss redundancy (shards
 			// previously held by the dead node are regenerated). Async —
 			// reads are already healthy, only redundancy is catching up.
-			go e.repushShards(cm, takenOver)
+			go e.n.ecPushShards(cm, takenOver, true)
 		}
 	}
 	e.signalWaiters()
-}
-
-// repushShards re-places the erasure shards of partitions this node
-// just took ownership of. The pushed bytes count into ec.repair.bytes —
-// this is the traffic that restores redundancy after a loss or move.
-func (e *elasticCtrl) repushShards(cm *member.ClusterMap, gids []uint64) {
-	for _, gid := range gids {
-		e.n.mu.RLock()
-		p := e.n.parts[gid]
-		e.n.mu.RUnlock()
-		if p != nil {
-			_ = e.n.ecPushPartition(cm, p, true)
-		}
-	}
 }
 
 // noteBye records a member's shutdown intent; once every alive member
@@ -925,34 +920,53 @@ func (e *elasticCtrl) noteBye(id member.NodeID) bool {
 		}
 		_ = e.n.comm.Send(node.Rank, tagCtrl, []byte{ctrlByeAck})
 	}
-	close(e.byeAck)
 	return true
 }
 
-// closeElastic is the elastic Node.Close: a bye/ack handshake through
-// the coordinator replaces the static barrier (only members may
-// participate, and the world stays up for them), then the local
-// daemons shut down exactly like the static path.
-func (n *Node) closeElastic() error {
+// stop ends the ctrl loop with a self-addressed poison pill and waits
+// for it to exit (at once if it already has).
+func (e *elasticCtrl) stop() {
+	select {
+	case <-e.done:
+		return
+	default:
+	}
+	_ = e.n.comm.Send(e.n.comm.Rank(), tagCtrl, nil)
+	<-e.done
+}
+
+// Close shuts the node down once every member is done with the
+// namespace: a bye/ack handshake through the coordinator ensures no
+// member still needs this node's objects when its daemon stops. Every
+// member must call it. If the world has aborted — a peer gone mid-run —
+// the ctrl loop has already exited and Close returns at once.
+func (n *Node) Close() error {
+	if n.closed.Swap(true) {
+		return nil
+	}
 	e := n.ectrl
 	var bye [5]byte
 	bye[0] = ctrlBye
 	binary.LittleEndian.PutUint32(bye[1:], uint32(n.selfID))
-	if e.mem.IsCoordinator() {
-		// The coordinator's own bye goes through its ctrl loop like any
-		// other, keeping the all-byes count in one place.
-		_ = n.comm.Send(n.comm.Rank(), tagCtrl, bye[:])
-	} else {
-		_ = n.comm.Send(e.coordRank, tagCtrl, bye[:])
-	}
+	// The coordinator's own bye goes through its ctrl loop like any
+	// other, keeping the all-byes count in one place.
+	_ = n.comm.Send(e.coordRank, tagCtrl, bye[:])
 	select {
-	case <-e.byeAck:
+	case <-e.done:
 	case <-time.After(60 * time.Second):
 		// A peer died without saying bye; shut down anyway.
 	}
-	e.wg.Wait()
-	e.mem.Close()
+	return n.shutdown()
+}
+
+// shutdown stops the node's daemons — fetch server, ctrl loop,
+// membership handle, decode pool — and closes the backend.
+func (n *Node) shutdown() error {
 	n.server.Stop()
+	n.ectrl.stop()
+	n.mem.Close()
+	// With the server down no new decode work arrives; the pool drains
+	// whatever is queued (stragglers run inline on their submitters).
 	n.decode.Close()
 	return n.backend.Close()
 }
@@ -969,9 +983,6 @@ func (n *Node) LeaveCluster() error {
 		return nil
 	}
 	e := n.ectrl
-	if e == nil {
-		return fmt.Errorf("fanstore: LeaveCluster on a static mount")
-	}
 	if e.mem.IsCoordinator() {
 		n.closed.Store(false)
 		return fmt.Errorf("fanstore: the coordinator cannot leave; Close the cluster instead")
@@ -986,6 +997,8 @@ func (n *Node) LeaveCluster() error {
 	var status byte
 	select {
 	case status = <-e.drained:
+	case <-e.done:
+		return fmt.Errorf("fanstore: leave: control plane closed before the drain ack")
 	case <-time.After(60 * time.Second):
 		n.closed.Store(false)
 		return fmt.Errorf("fanstore: leave: drain did not complete")
@@ -1005,31 +1018,17 @@ func (n *Node) LeaveCluster() error {
 		n.events.Emitf(obs.EvMemberLeave, obs.SevInfo,
 			"member %v drained and left the cluster", n.selfID)
 	}
-	// Unblock the ctrl loop (it has no ByeAck coming) and tear down.
-	_ = n.comm.Send(n.comm.Rank(), tagCtrl, nil)
-	e.wg.Wait()
-	n.server.Stop()
-	n.decode.Close()
-	return n.backend.Close()
+	// The ctrl loop has no ByeAck coming; shutdown poisons it.
+	return n.shutdown()
 }
 
 // RebalancePending reports the coordinator's outstanding transfer count
 // (0 on other members).
-func (n *Node) RebalancePending() int64 {
-	if n.ectrl == nil {
-		return 0
-	}
-	return n.ectrl.rebalPending.Value()
-}
+func (n *Node) RebalancePending() int64 { return n.ectrl.rebalPending.Value() }
 
 // RebalancedBytes reports the partition bytes this node has pulled in
 // rebalances.
-func (n *Node) RebalancedBytes() int64 {
-	if n.ectrl == nil {
-		return 0
-	}
-	return n.ectrl.rebalBytes.Value()
-}
+func (n *Node) RebalancedBytes() int64 { return n.ectrl.rebalBytes.Value() }
 
 // MarkDead declares a member failed: the coordinator publishes the
 // node as StateDead (routes to it start erroring toward refresh) and
@@ -1039,10 +1038,6 @@ func (n *Node) RebalancedBytes() int64 {
 // failure detection itself (missed heartbeats, a scheduler signal) is
 // the caller's.
 func (n *Node) MarkDead(id member.NodeID) error {
-	e := n.ectrl
-	if e == nil {
-		return fmt.Errorf("fanstore: MarkDead on a static mount")
-	}
 	if !n.mem.IsCoordinator() {
 		return fmt.Errorf("fanstore: MarkDead is coordinator-only")
 	}
@@ -1057,7 +1052,7 @@ func (n *Node) MarkDead(id member.NodeID) error {
 		n.events.Emitf(obs.EvMemberDead, obs.SevError,
 			"member %v marked dead; queuing repair rebalance", id)
 	}
-	e.enqueueJob(&rebalanceJob{leaver: id, leaveRank: -1}, member.NoNode)
+	n.ectrl.enqueueJob(&rebalanceJob{leaver: id, leaveRank: -1})
 	return nil
 }
 
@@ -1071,19 +1066,91 @@ func (n *Node) FailStop() {
 	if n.closed.Swap(true) {
 		return
 	}
-	n.server.Stop()
-	_ = n.comm.Send(n.comm.Rank(), tagCtrl, nil) // poison the ctrl loop
-	if n.ectrl != nil {
-		n.ectrl.wg.Wait()
-	}
-	if n.mem != nil {
-		n.mem.Close()
-	}
-	n.decode.Close()
-	_ = n.backend.Close()
+	_ = n.shutdown()
 }
 
-// encodeTable frames the full metadata table (coordinator's view).
+// segment is one node's share of a metadata table: its replica
+// announcements and its records, both encoded. A table frame is
+// ctrlTable followed by segments, each
+//
+//	u32 nodeID | u32 len | encodePaths(announcements) | u32 len | encodeMetas
+type segment struct {
+	id       member.NodeID
+	replicas []byte
+	metas    []byte
+}
+
+func (s segment) append(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(s.id))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s.replicas)))
+	dst = append(dst, s.replicas...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s.metas)))
+	return append(dst, s.metas...)
+}
+
+// nextSegment splits one segment off the front of src; its runs alias
+// src.
+func nextSegment(src []byte) (segment, []byte, error) {
+	var s segment
+	if len(src) < 8 {
+		return s, nil, errors.New("fanstore: table segment truncated")
+	}
+	s.id = member.NodeID(int32(binary.LittleEndian.Uint32(src)))
+	off := 8 + int(binary.LittleEndian.Uint32(src[4:]))
+	if off+4 > len(src) {
+		return s, nil, errors.New("fanstore: table segment truncated")
+	}
+	s.replicas = src[8:off]
+	end := off + 4 + int(binary.LittleEndian.Uint32(src[off:]))
+	if end > len(src) || end < off+4 {
+		return s, nil, errors.New("fanstore: table segment truncated")
+	}
+	s.metas = src[off+4 : end]
+	return s, src[end:], nil
+}
+
+// encodeRegister frames a member's mount-time registration: its
+// partition inventory, then the segment the coordinator forwards.
+//
+//	u8 op | u32 nParts | nParts x (u64 gid | u64 size | u32 nRecords) | segment
+func encodeRegister(parts []*partRec, own segment) []byte {
+	out := make([]byte, 0, 5+20*len(parts)+12+len(own.replicas)+len(own.metas))
+	out = append(out, ctrlRegister)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(parts)))
+	for _, p := range parts {
+		out = binary.LittleEndian.AppendUint64(out, p.gid)
+		out = binary.LittleEndian.AppendUint64(out, uint64(p.size))
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(p.metas)))
+	}
+	return own.append(out)
+}
+
+// parseRegister reads a registration (after its op byte): the partition
+// inventory, each partition's record count, and the segment.
+func parseRegister(src []byte) ([]*partRec, []int, segment, error) {
+	if len(src) < 4 || int(binary.LittleEndian.Uint32(src)) > (len(src)-4)/20 {
+		return nil, nil, segment{}, errors.New("fanstore: register frame truncated")
+	}
+	np := int(binary.LittleEndian.Uint32(src))
+	parts := make([]*partRec, np)
+	counts := make([]int, np)
+	for i := range parts {
+		b := src[4+20*i:]
+		parts[i] = &partRec{gid: binary.LittleEndian.Uint64(b), size: int64(binary.LittleEndian.Uint64(b[8:]))}
+		counts[i] = int(binary.LittleEndian.Uint32(b[16:]))
+	}
+	seg, rest, err := nextSegment(src[4+20*np:])
+	if err == nil && len(rest) != 0 {
+		err = errors.New("fanstore: register frame has trailing bytes")
+	}
+	for _, p := range parts {
+		p.owner = seg.id
+	}
+	return parts, counts, seg, err
+}
+
+// encodeTable frames the coordinator's whole table for a joiner: one
+// segment whose records already carry their replicas.
 func (e *elasticCtrl) encodeTable() []byte {
 	e.n.mu.RLock()
 	metas := make([]FileMeta, 0, len(e.n.meta))
@@ -1091,63 +1158,48 @@ func (e *elasticCtrl) encodeTable() []byte {
 		metas = append(metas, *m)
 	}
 	e.n.mu.RUnlock()
-	return append([]byte{ctrlTable}, encodeMetas(metas)...)
+	seg := segment{id: e.n.selfID, replicas: encodePaths(nil), metas: encodeMetas(metas)}
+	return seg.append([]byte{ctrlTable})
 }
 
-// encodeRegister frames a member's partition inventory:
-//
-//	u8 op | u32 nodeID | u32 nParts | nParts x (u64 gid | u64 size |
-//	u32 metaLen | encodeMetas) — per-part metas keep the coordinator's
-//	registry able to rewrite ownership at commit time.
-func encodeRegister(id member.NodeID, parts []*partRec) []byte {
-	out := []byte{ctrlRegister}
-	var b [8]byte
-	binary.LittleEndian.PutUint32(b[:4], uint32(id))
-	out = append(out, b[:4]...)
-	binary.LittleEndian.PutUint32(b[:4], uint32(len(parts)))
-	out = append(out, b[:4]...)
-	for _, rec := range parts {
-		binary.LittleEndian.PutUint64(b[:], rec.gid)
-		out = append(out, b[:]...)
-		binary.LittleEndian.PutUint64(b[:], uint64(rec.size))
-		out = append(out, b[:]...)
-		enc := encodeMetas(rec.metas)
-		binary.LittleEndian.PutUint32(b[:4], uint32(len(enc)))
-		out = append(out, b[:4]...)
-		out = append(out, enc...)
+// installTable adds a table frame's records to the namespace, then
+// attaches its replica announcements to the owner records.
+func (n *Node) installTable(frame []byte) error {
+	if len(frame) == 0 || frame[0] != ctrlTable {
+		return errors.New("fanstore: bad table frame")
 	}
-	return out
-}
-
-func decodeRegister(src []byte) ([]*partRec, []FileMeta, error) {
-	if len(src) < 8 {
-		return nil, nil, errors.New("fanstore: register frame truncated")
-	}
-	id := member.NodeID(int32(binary.LittleEndian.Uint32(src)))
-	nParts := int(binary.LittleEndian.Uint32(src[4:]))
-	off := 8
-	recs := make([]*partRec, 0, nParts)
-	var all []FileMeta
-	for i := 0; i < nParts; i++ {
-		if off+20 > len(src) {
-			return nil, nil, errors.New("fanstore: register frame truncated")
-		}
-		gid := binary.LittleEndian.Uint64(src[off:])
-		size := int64(binary.LittleEndian.Uint64(src[off+8:]))
-		ml := int(binary.LittleEndian.Uint32(src[off+16:]))
-		off += 20
-		if off+ml > len(src) {
-			return nil, nil, errors.New("fanstore: register frame truncated")
-		}
-		metas, err := decodeMetas(src[off : off+ml])
+	var segs []segment
+	for rest := frame[1:]; len(rest) > 0; {
+		seg, next, err := nextSegment(rest)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		off += ml
-		recs = append(recs, &partRec{gid: gid, size: size, owner: id, metas: metas})
-		all = append(all, metas...)
+		metas, err := decodeMetas(seg.metas)
+		if err != nil {
+			return err
+		}
+		n.addMeta(metas...)
+		segs, rest = append(segs, seg), next
 	}
-	return recs, all, nil
+	for _, seg := range segs {
+		if err := n.noteReplicas(seg); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// noteReplicas attaches a segment's replica announcements to the owner
+// records.
+func (n *Node) noteReplicas(seg segment) error {
+	paths, err := decodePaths(seg.replicas)
+	if err != nil {
+		return err
+	}
+	for _, p := range paths {
+		n.noteReplica(p, seg.id)
+	}
+	return nil
 }
 
 // encodeCommit frames a rebalance commit:

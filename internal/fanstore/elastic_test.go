@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -29,7 +30,8 @@ const (
 // joins. The join must advance the map version, trigger a delta
 // rebalance that moves partitions only onto the joiner (minimal
 // movement), keep every read issued during the handoff succeeding, and
-// leave post-rebalance reads routed to the new owner.
+// leave post-rebalance reads routed to the new owner. The spill case
+// streams the moving partitions from the owners' spill files.
 func TestElasticJoinMidEpoch(t *testing.T) {
 	const (
 		world   = 4
@@ -43,180 +45,194 @@ func TestElasticJoinMidEpoch(t *testing.T) {
 	}
 	sort.Strings(paths)
 
-	err := mpi.Run(world, func(c *mpi.Comm) error {
-		opts := ElasticOptions{
-			Options:        Options{CacheBytes: 1 << 20},
-			InitialMembers: initial,
-		}
+	for _, tc := range []struct {
+		name  string
+		spill bool // SpillDir on every node: handoffs read blobs back from disk
+	}{{name: "ram"}, {name: "spill", spill: true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			spillDir := t.TempDir()
+			err := mpi.Run(world, func(c *mpi.Comm) error {
+				opts := Options{CacheBytes: 1 << 20, InitialMembers: initial}
+				if tc.spill {
+					opts.SpillDir = spillDir
+				}
 
-		if c.Rank() == world-1 {
-			// The joiner: wait until every member is up and churning.
-			for i := 0; i < initial; i++ {
-				if _, _, err := c.Recv(mpi.AnySource, tagTestReady); err != nil {
-					return err
-				}
-			}
-			node, err := JoinCluster(c, 0, opts)
-			if err != nil {
-				return err
-			}
-			defer node.Close()
-			// JoinCluster returns after the rebalance commit: this node
-			// must already have pulled its share.
-			if got := node.RebalancedBytes(); got <= 0 {
-				return fmt.Errorf("joiner pulled %d rebalance bytes, want > 0", got)
-			}
-			var frame [5]byte
-			binary.LittleEndian.PutUint32(frame[1:], uint32(node.ID()))
-			for r := 0; r < initial; r++ {
-				if err := c.Send(r, tagTestJoined, frame[:]); err != nil {
-					return err
-				}
-			}
-			// The joiner sees the whole namespace, and its own moved
-			// partitions are served locally.
-			for _, p := range paths {
-				got, err := node.ReadFile(p)
-				if err != nil {
-					return fmt.Errorf("joiner: %s: %w", p, err)
-				}
-				if !bytes.Equal(got, want[p]) {
-					return fmt.Errorf("joiner: %s: content mismatch", p)
-				}
-			}
-			if node.Stats().LocalOpens == 0 {
-				return fmt.Errorf("joiner served no local opens; rebalanced partitions not serving")
-			}
-			return nil
-		}
-
-		// Initial members: mount with two partitions each.
-		parts := [][]byte{bundle.Scatter[2*c.Rank()], bundle.Scatter[2*c.Rank()+1]}
-		node, err := MountElastic(c, parts, opts)
-		if err != nil {
-			return err
-		}
-		defer node.Close()
-		v0 := node.MapVersion()
-		preOwner := make(map[string]int32, len(paths))
-		node.mu.RLock()
-		for p, m := range node.meta {
-			preOwner[p] = m.Owner
-		}
-		node.mu.RUnlock()
-		if len(preOwner) != len(paths) {
-			return fmt.Errorf("rank %d sees %d files, want %d", c.Rank(), len(preOwner), len(paths))
-		}
-
-		// Continuous read workload across the join — the "mid-epoch" part.
-		stop := make(chan struct{})
-		var reads atomic.Int64
-		var readerErr error
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				for _, p := range paths {
-					got, err := node.ReadFile(p)
+				if c.Rank() == world-1 {
+					// The joiner: wait until every member is up and churning.
+					for i := 0; i < initial; i++ {
+						if _, _, err := c.Recv(mpi.AnySource, tagTestReady); err != nil {
+							return err
+						}
+					}
+					node, err := JoinCluster(c, 0, opts)
 					if err != nil {
-						readerErr = fmt.Errorf("rank %d mid-epoch read %s: %w", c.Rank(), p, err)
-						return
+						return err
 					}
-					if !bytes.Equal(got, want[p]) {
-						readerErr = fmt.Errorf("rank %d mid-epoch read %s: content mismatch", c.Rank(), p)
-						return
+					defer node.Close()
+					// JoinCluster returns after the rebalance commit: this node
+					// must already have pulled its share.
+					if got := node.RebalancedBytes(); got <= 0 {
+						return fmt.Errorf("joiner pulled %d rebalance bytes, want > 0", got)
 					}
-					reads.Add(1)
+					var frame [5]byte
+					binary.LittleEndian.PutUint32(frame[1:], uint32(node.ID()))
+					for r := 0; r < initial; r++ {
+						if err := c.Send(r, tagTestJoined, frame[:]); err != nil {
+							return err
+						}
+					}
+					// The joiner sees the whole namespace, and its own moved
+					// partitions are served locally.
+					for _, p := range paths {
+						got, err := node.ReadFile(p)
+						if err != nil {
+							return fmt.Errorf("joiner: %s: %w", p, err)
+						}
+						if !bytes.Equal(got, want[p]) {
+							return fmt.Errorf("joiner: %s: content mismatch", p)
+						}
+					}
+					if node.Stats().LocalOpens == 0 {
+						return fmt.Errorf("joiner served no local opens; rebalanced partitions not serving")
+					}
+					if err := partsHoldNoBlob(node); err != nil {
+						return err
+					}
+					return nil
 				}
-			}
-		}()
 
-		if err := c.Send(world-1, tagTestReady, nil); err != nil {
-			return err
-		}
-		data, _, err := c.Recv(world-1, tagTestJoined)
-		if err != nil {
-			return err
-		}
-		joiner := int32(binary.LittleEndian.Uint32(data[1:]))
-		close(stop)
-		wg.Wait()
-		if readerErr != nil {
-			return readerErr
-		}
-		if reads.Load() == 0 {
-			return fmt.Errorf("rank %d issued no reads during the join", c.Rank())
-		}
-
-		// The commit broadcast may still be in flight for non-coordinator
-		// members; converge on it.
-		moved := 0
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			moved = 0
-			node.mu.RLock()
-			for _, m := range node.meta {
-				if m.Owner == joiner {
-					moved++
+				// Initial members: mount with two partitions each.
+				parts := [][]byte{bundle.Scatter[2*c.Rank()], bundle.Scatter[2*c.Rank()+1]}
+				node, err := Mount(c, parts, nil, opts)
+				if err != nil {
+					return err
 				}
-			}
-			node.mu.RUnlock()
-			if node.MapVersion() > v0+1 && moved > 0 {
-				break
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("rank %d: no rebalance commit observed (version %d, moved %d)", c.Rank(), node.MapVersion(), moved)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-
-		// Minimal movement: every record either kept its owner or moved to
-		// the joiner — the rebalance must not shuffle survivors around.
-		var movedPath string
-		node.mu.RLock()
-		for p, m := range node.meta {
-			if m.Owner != preOwner[p] && m.Owner != joiner {
+				defer node.Close()
+				if err := partsHoldNoBlob(node); err != nil {
+					return err
+				}
+				v0 := node.MapVersion()
+				preOwner := make(map[string]int32, len(paths))
+				node.mu.RLock()
+				for p, m := range node.meta {
+					preOwner[p] = m.Owner
+				}
 				node.mu.RUnlock()
-				return fmt.Errorf("rank %d: %s moved %d -> %d, not to the joiner %d", c.Rank(), p, preOwner[p], m.Owner, joiner)
-			}
-			if m.Owner == joiner {
-				movedPath = p
-			}
-		}
-		node.mu.RUnlock()
+				if len(preOwner) != len(paths) {
+					return fmt.Errorf("rank %d sees %d files, want %d", c.Rank(), len(preOwner), len(paths))
+				}
 
-		if c.Rank() == 0 {
-			// Coordinator: the rebalance fully drained.
-			if pend := node.RebalancePending(); pend != 0 {
-				return fmt.Errorf("coordinator still has %d pending rebalance transfers", pend)
-			}
-			// Post-rebalance routing: a direct fetch of a moved object
-			// resolves its new owner (the joiner) and is served there.
-			node.mu.RLock()
-			m := node.meta[movedPath]
-			node.mu.RUnlock()
-			if member.NodeID(m.Owner) == node.ID() {
-				return fmt.Errorf("coordinator owns the moved path %s", movedPath)
-			}
-			got, _, err := node.fetchRemote(m, FidelityFull)
-			blob := got.data
+				// Continuous read workload across the join — the "mid-epoch" part.
+				stop := make(chan struct{})
+				var reads atomic.Int64
+				var readerErr error
+				var wg sync.WaitGroup
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						for _, p := range paths {
+							got, err := node.ReadFile(p)
+							if err != nil {
+								readerErr = fmt.Errorf("rank %d mid-epoch read %s: %w", c.Rank(), p, err)
+								return
+							}
+							if !bytes.Equal(got, want[p]) {
+								readerErr = fmt.Errorf("rank %d mid-epoch read %s: content mismatch", c.Rank(), p)
+								return
+							}
+							reads.Add(1)
+						}
+					}
+				}()
+
+				if err := c.Send(world-1, tagTestReady, nil); err != nil {
+					return err
+				}
+				data, _, err := c.Recv(world-1, tagTestJoined)
+				if err != nil {
+					return err
+				}
+				joiner := int32(binary.LittleEndian.Uint32(data[1:]))
+				close(stop)
+				wg.Wait()
+				if readerErr != nil {
+					return readerErr
+				}
+				if reads.Load() == 0 {
+					return fmt.Errorf("rank %d issued no reads during the join", c.Rank())
+				}
+
+				// The commit broadcast may still be in flight for non-coordinator
+				// members; converge on it.
+				moved := 0
+				deadline := time.Now().Add(5 * time.Second)
+				for {
+					moved = 0
+					node.mu.RLock()
+					for _, m := range node.meta {
+						if m.Owner == joiner {
+							moved++
+						}
+					}
+					node.mu.RUnlock()
+					if node.MapVersion() > v0+1 && moved > 0 {
+						break
+					}
+					if time.Now().After(deadline) {
+						return fmt.Errorf("rank %d: no rebalance commit observed (version %d, moved %d)", c.Rank(), node.MapVersion(), moved)
+					}
+					time.Sleep(2 * time.Millisecond)
+				}
+
+				// Minimal movement: every record either kept its owner or moved to
+				// the joiner — the rebalance must not shuffle survivors around.
+				var movedPath string
+				node.mu.RLock()
+				for p, m := range node.meta {
+					if m.Owner != preOwner[p] && m.Owner != joiner {
+						node.mu.RUnlock()
+						return fmt.Errorf("rank %d: %s moved %d -> %d, not to the joiner %d", c.Rank(), p, preOwner[p], m.Owner, joiner)
+					}
+					if m.Owner == joiner {
+						movedPath = p
+					}
+				}
+				node.mu.RUnlock()
+
+				if c.Rank() == 0 {
+					// Coordinator: the rebalance fully drained.
+					if pend := node.RebalancePending(); pend != 0 {
+						return fmt.Errorf("coordinator still has %d pending rebalance transfers", pend)
+					}
+					// Post-rebalance routing: a direct fetch of a moved object
+					// resolves its new owner (the joiner) and is served there.
+					node.mu.RLock()
+					m := node.meta[movedPath]
+					node.mu.RUnlock()
+					if member.NodeID(m.Owner) == node.ID() {
+						return fmt.Errorf("coordinator owns the moved path %s", movedPath)
+					}
+					got, _, err := node.fetchRemote(m, FidelityFull)
+					blob := got.data
+					if err != nil {
+						return fmt.Errorf("post-rebalance fetch of %s from new owner: %w", movedPath, err)
+					}
+					if len(blob) == 0 {
+						return fmt.Errorf("post-rebalance fetch of %s returned no bytes", movedPath)
+					}
+				}
+				return nil
+			})
 			if err != nil {
-				return fmt.Errorf("post-rebalance fetch of %s from new owner: %w", movedPath, err)
+				t.Fatal(err)
 			}
-			if len(blob) == 0 {
-				return fmt.Errorf("post-rebalance fetch of %s returned no bytes", movedPath)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		})
 	}
 }
 
@@ -242,12 +258,9 @@ func BenchmarkRebalanceUnderLoad(b *testing.B) {
 	sort.Strings(paths)
 
 	err := mpi.Run(world, func(c *mpi.Comm) error {
-		opts := ElasticOptions{
-			// Immediate keeps every read cold, so the measured loop
-			// exercises the fetch path the rebalance stream competes with.
-			Options:        Options{CachePolicy: Immediate},
-			InitialMembers: initial,
-		}
+		// Immediate keeps every read cold, so the measured loop
+		// exercises the fetch path the rebalance stream competes with.
+		opts := Options{CachePolicy: Immediate, InitialMembers: initial}
 
 		if c.Rank() == world-1 {
 			// The joiner: wait for the measured loop to start, then join
@@ -272,7 +285,7 @@ func BenchmarkRebalanceUnderLoad(b *testing.B) {
 		}
 
 		parts := [][]byte{bundle.Scatter[2*c.Rank()], bundle.Scatter[2*c.Rank()+1]}
-		node, err := MountElastic(c, parts, opts)
+		node, err := Mount(c, parts, nil, opts)
 		if err != nil {
 			return err
 		}
@@ -305,7 +318,8 @@ func BenchmarkRebalanceUnderLoad(b *testing.B) {
 
 // TestElasticLeaveDrains shrinks the cluster: a member leaves, its
 // partitions are re-homed onto the survivors while it still serves, and
-// the survivors keep reading the whole namespace afterwards.
+// the survivors keep reading the whole namespace afterwards. The spill
+// case hands the partitions off from disk.
 func TestElasticLeaveDrains(t *testing.T) {
 	const (
 		world  = 3
@@ -318,72 +332,86 @@ func TestElasticLeaveDrains(t *testing.T) {
 	}
 	sort.Strings(paths)
 
-	err := mpi.Run(world, func(c *mpi.Comm) error {
-		opts := ElasticOptions{Options: Options{CacheBytes: 1 << 20}}
-		parts := [][]byte{bundle.Scatter[2*c.Rank()], bundle.Scatter[2*c.Rank()+1]}
-		node, err := MountElastic(c, parts, opts)
-		if err != nil {
-			return err
-		}
-
-		if c.Rank() == world-1 {
-			leaverID := node.ID()
-			if err := node.LeaveCluster(); err != nil {
-				return err
-			}
-			var frame [5]byte
-			binary.LittleEndian.PutUint32(frame[1:], uint32(leaverID))
-			for r := 0; r < world-1; r++ {
-				if err := c.Send(r, tagTestJoined, frame[:]); err != nil {
+	for _, tc := range []struct {
+		name  string
+		spill bool // SpillDir on every node: handoffs read blobs back from disk
+	}{{name: "ram"}, {name: "spill", spill: true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			spillDir := t.TempDir()
+			err := mpi.Run(world, func(c *mpi.Comm) error {
+				opts := Options{CacheBytes: 1 << 20}
+				if tc.spill {
+					opts.SpillDir = spillDir
+				}
+				parts := [][]byte{bundle.Scatter[2*c.Rank()], bundle.Scatter[2*c.Rank()+1]}
+				node, err := Mount(c, parts, nil, opts)
+				if err != nil {
 					return err
 				}
-			}
-			return nil
-		}
-
-		defer node.Close()
-		data, _, err := c.Recv(world-1, tagTestJoined)
-		if err != nil {
-			return err
-		}
-		leaver := int32(binary.LittleEndian.Uint32(data[1:]))
-
-		// Converge on the drain commit: no record may still name the
-		// departed node.
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			orphans := 0
-			node.mu.RLock()
-			for _, m := range node.meta {
-				if m.Owner == leaver {
-					orphans++
+				if err := partsHoldNoBlob(node); err != nil {
+					return err
 				}
-			}
-			node.mu.RUnlock()
-			if orphans == 0 {
-				break
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("rank %d: %d records still owned by departed node %d", c.Rank(), orphans, leaver)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
 
-		// The survivors serve the full namespace, including everything
-		// the leaver used to own.
-		for _, p := range paths {
-			got, err := node.ReadFile(p)
+				if c.Rank() == world-1 {
+					leaverID := node.ID()
+					if err := node.LeaveCluster(); err != nil {
+						return err
+					}
+					var frame [5]byte
+					binary.LittleEndian.PutUint32(frame[1:], uint32(leaverID))
+					for r := 0; r < world-1; r++ {
+						if err := c.Send(r, tagTestJoined, frame[:]); err != nil {
+							return err
+						}
+					}
+					return nil
+				}
+
+				defer node.Close()
+				data, _, err := c.Recv(world-1, tagTestJoined)
+				if err != nil {
+					return err
+				}
+				leaver := int32(binary.LittleEndian.Uint32(data[1:]))
+
+				// Converge on the drain commit: no record may still name the
+				// departed node.
+				deadline := time.Now().Add(5 * time.Second)
+				for {
+					orphans := 0
+					node.mu.RLock()
+					for _, m := range node.meta {
+						if m.Owner == leaver {
+							orphans++
+						}
+					}
+					node.mu.RUnlock()
+					if orphans == 0 {
+						break
+					}
+					if time.Now().After(deadline) {
+						return fmt.Errorf("rank %d: %d records still owned by departed node %d", c.Rank(), orphans, leaver)
+					}
+					time.Sleep(2 * time.Millisecond)
+				}
+
+				// The survivors serve the full namespace, including everything
+				// the leaver used to own.
+				for _, p := range paths {
+					got, err := node.ReadFile(p)
+					if err != nil {
+						return fmt.Errorf("rank %d after leave: %s: %w", c.Rank(), p, err)
+					}
+					if !bytes.Equal(got, want[p]) {
+						return fmt.Errorf("rank %d after leave: %s: content mismatch", c.Rank(), p)
+					}
+				}
+				return nil
+			})
 			if err != nil {
-				return fmt.Errorf("rank %d after leave: %s: %w", c.Rank(), p, err)
+				t.Fatal(err)
 			}
-			if !bytes.Equal(got, want[p]) {
-				return fmt.Errorf("rank %d after leave: %s: content mismatch", c.Rank(), p)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		})
 	}
 }
 
@@ -396,8 +424,8 @@ func TestElasticLeaveDrains(t *testing.T) {
 func TestVanishedObjectBoundsRefreshLoop(t *testing.T) {
 	bundle, want := buildBundle(t, dataset.EM, 8, 2, 4<<10, nil)
 	err := mpi.Run(2, func(c *mpi.Comm) error {
-		node, err := MountElastic(c, [][]byte{bundle.Scatter[c.Rank()]}, ElasticOptions{
-			Options:        Options{CacheBytes: 1 << 20},
+		node, err := Mount(c, [][]byte{bundle.Scatter[c.Rank()]}, nil, Options{
+			CacheBytes:     1 << 20,
 			InitialMembers: 2,
 		})
 		if err != nil {
@@ -452,4 +480,58 @@ func TestVanishedObjectBoundsRefreshLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestCloseAfterPeerAbortReturnsPromptly pins the shutdown path when
+// the world aborts: a peer returns an error right after mounting, and
+// Close on the survivor must not sit out the bye/ack handshake's timer —
+// its ctrl loop has already exited on the aborted mailbox, so Close
+// returns at once.
+func TestCloseAfterPeerAbortReturnsPromptly(t *testing.T) {
+	bundle, _ := buildBundle(t, dataset.EM, 4, 2, 4<<10, nil)
+	errPeer := errors.New("peer aborted after mounting")
+	var took time.Duration
+	err := mpi.Run(2, func(c *mpi.Comm) error {
+		node, err := Mount(c, [][]byte{bundle.Scatter[c.Rank()]}, nil, Options{CacheBytes: 1 << 20})
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 1 {
+			return errPeer
+		}
+		// The peer never sends on this tag; the receive ends with the abort.
+		if _, _, err := c.Recv(1, tagTestReady); !errors.Is(err, mpi.ErrAborted) {
+			return fmt.Errorf("receive after the peer's abort: %v", err)
+		}
+		start := time.Now()
+		_ = node.Close()
+		took = time.Since(start)
+		return nil
+	})
+	if !errors.Is(err, errPeer) {
+		t.Fatalf("run error %v, want the peer's abort", err)
+	}
+	if took > time.Second {
+		t.Fatalf("Close took %v after the peer aborted, want under 1s", took)
+	}
+}
+
+// partsHoldNoBlob fails when a partition record pins blob bytes in RAM:
+// n.parts carries paths only, so a spill mount keeps its partitions on
+// disk and a handoff reads them back through Backend.Blob.
+func partsHoldNoBlob(n *Node) error {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	if len(n.parts) == 0 {
+		return fmt.Errorf("node %d registered no partitions", n.ID())
+	}
+	for gid, p := range n.parts {
+		v := reflect.ValueOf(*p)
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.Kind() == reflect.Slice && f.Type().Elem().Kind() == reflect.Uint8 && f.Len() > 0 {
+				return fmt.Errorf("node %d: partition %d keeps %d blob bytes in RAM", n.ID(), gid, f.Len())
+			}
+		}
+	}
+	return nil
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // FileMeta is the in-RAM metadata record for one file in the global
-// namespace. After the load-time Allgather every node holds the complete
-// table, so stat()/readdir() never touch the network or the shared
+// namespace. After Mount's metadata exchange every node holds the
+// complete table, so stat()/readdir() never touch the network or the shared
 // filesystem again (§IV-C1/2).
 type FileMeta struct {
 	Path         string
@@ -25,13 +25,13 @@ type FileMeta struct {
 	// MapVersion is the cluster-map version the Owner/Replicas assignment
 	// was planned under. A reader that resolves Owner against a different
 	// map version treats the route as stale and refreshes before failing
-	// over (see fetchRemote). Static mounts stamp version 1, the
-	// member.StaticMap version, so the check degenerates to a no-op.
+	// over (see fetchRemote). A world whose membership never changes
+	// stays at version 1, the member.StaticMap version.
 	MapVersion uint64
 
 	// PartGID is the cluster-wide id of the partition blob this object
-	// lives in (0 on static mounts and for written files, which belong
-	// to no packed partition). Erasure-coded mounts key the degraded
+	// lives in (0 for written files and the broadcast partition, which
+	// the cluster never moves). Erasure-coded mounts key the degraded
 	// read path on it: when every whole-object route is gone the reader
 	// reconstructs partition PartGID from surviving shards.
 	PartGID uint64
@@ -48,7 +48,7 @@ type FileMeta struct {
 	// (codec.LayerIndex.PrefixSize(i+1)), so the last element is the full
 	// payload size and layer i's body spans [LayerPrefix[i-1],
 	// LayerPrefix[i]). Empty for non-layered objects. Carried in the
-	// Allgather so any reader can turn a fidelity budget into a byte
+	// metadata exchange so any reader can turn a fidelity budget into a byte
 	// range without first fetching the index.
 	LayerPrefix []uint32
 }
@@ -80,7 +80,7 @@ func (m *FileMeta) LayerPrefixSize(level uint8) int64 {
 // A rotation set anywhere near 255 alternates is far beyond useful.
 const maxReplicaFan = 255
 
-// encodeMetas serializes a metadata list for the Allgather exchange.
+// encodeMetas serializes a metadata list for the metadata exchange.
 func encodeMetas(metas []FileMeta) []byte {
 	size := 4
 	for i := range metas {
@@ -203,8 +203,8 @@ func decodeMetas(src []byte) ([]FileMeta, error) {
 	return out, nil
 }
 
-// encodePaths serializes a clean-path list for the replica-announcement
-// Allgather: u32 count, then u16 length + bytes per path.
+// encodePaths serializes a clean-path list for replica announcements:
+// u32 count, then u16 length + bytes per path.
 func encodePaths(paths []string) []byte {
 	size := 4
 	for _, p := range paths {
@@ -268,9 +268,9 @@ func newDirIndex() *dirIndex {
 	return &dirIndex{dirs: map[string]map[string]DirEntry{"": {}}}
 }
 
-// add indexes one file path, creating implicit parent directories.
+// add indexes one clean file path, creating implicit parent
+// directories.
 func (d *dirIndex) add(p string, size int64) {
-	p = cleanPath(p)
 	if p == "" {
 		return
 	}
@@ -317,8 +317,12 @@ func (d *dirIndex) isDir(dir string) bool {
 }
 
 // cleanPath normalizes a user path: no leading/trailing slashes, "." and
-// ".." resolved. The root is "".
+// ".." resolved. The root is "". A path that is already clean — every
+// record loaded or received — comes back as is, without an allocation.
 func cleanPath(p string) string {
+	if path.Clean(p) == p && p != "." && !strings.HasPrefix(p, "/") && !strings.HasPrefix(p, "..") {
+		return p
+	}
 	p = path.Clean("/" + p)
 	return strings.TrimPrefix(p, "/")
 }

@@ -90,6 +90,10 @@ func TestCleanPath(t *testing.T) {
 		"/":          "",
 		"..":         "",
 		"../outside": "outside",
+		".":          "",
+		"a/b/":       "a/b",
+		"a/../../b":  "b",
+		"..dot/file": "..dot/file",
 	}
 	for in, want := range cases {
 		if got := cleanPath(in); got != want {

@@ -168,7 +168,7 @@ func (r *ClusterReport) Render(w io.Writer) {
 		r.counterTotal("fanstore.bytes.remote"),
 		r.counterTotal("fanstore.failovers"),
 		r.counterTotal("fanstore.fetch.batched"))
-	// Elastic clusters only: rebalance progress since mount. The map
+	// Clusters that grew or shrank: rebalance progress since mount. The map
 	// version gauge merges by max, so the line shows the newest commit
 	// any rank has applied; pending sums the coordinator's outstanding
 	// transfers (zero once every handoff committed).

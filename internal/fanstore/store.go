@@ -4,12 +4,13 @@
 //
 // Each node (MPI rank) runs a Node: it loads its assigned compressed
 // partitions into node-local storage, exchanges metadata with all peers
-// via Allgather so the full namespace is resolvable from RAM, and serves
-// its partitions' file bytes to peers over the interconnect. File opens
-// decompress into a reference-counted FIFO cache; reads are memory copies
-// out of that cache. The write path implements the paper's multi-read /
-// single-write model: an output file is written once, sealed on close,
-// and its metadata forwarded to the owner rank.
+// through the cluster coordinator so the full namespace is resolvable
+// from RAM, and serves its partitions' file bytes to peers over the
+// interconnect. File opens decompress into a reference-counted FIFO
+// cache; reads are memory copies out of that cache. The write path
+// implements the paper's multi-read / single-write model: an output file
+// is written once, sealed on close, and its metadata forwarded to the
+// owner rank.
 //
 // The data path is layered:
 //
@@ -52,7 +53,7 @@ import (
 const (
 	tagFetch    = 1000 // fetch request: rpc frame carrying an op + body
 	tagRing     = 1002 // ring replication of extra partitions
-	tagCtrl     = 1003 // elastic control plane: join/rebalance/shutdown (elastic.go)
+	tagCtrl     = 1003 // control plane: mount/join/rebalance/shutdown (elastic.go)
 	tagRespBase = 1 << 20
 )
 
@@ -131,9 +132,10 @@ type Options struct {
 	DecodeWorkers int
 	// Replicas are extra partition blobs this node serves locally
 	// without owning them (typically obtained via RingReplicate when the
-	// node has spare local storage, §V-D). Their paths are announced to
-	// all peers during Mount, so remote opens route to this node as an
-	// alternative to the owner.
+	// node has spare local storage, §V-D). Their paths ride this node's
+	// registration with the coordinator during Mount, and every member
+	// attaches them to the owner records, so remote opens route to this
+	// node as an alternative to the owner.
 	Replicas [][]byte
 	// SpillDir selects the local-disk backend: partition blobs are
 	// written under this directory and compressed payloads are read back
@@ -173,9 +175,22 @@ type Options struct {
 	// replication (default) or ec(k,m) erasure coding, which stripes
 	// every partition into k data + m parity shards scattered across the
 	// cluster at m/k overhead (see ParseRedundancy for the flag syntax).
-	// Erasure coding requires an elastic mount — the shard placement and
-	// the repair job route through the membership coordinator.
+	// Shard placement and the repair job route through the membership
+	// coordinator every mount runs.
 	Redundancy Redundancy
+	// InitialMembers is how many ranks (0..InitialMembers-1) mount
+	// collectively at start; the remaining slots are spare capacity for
+	// JoinCluster. 0 means the whole world.
+	InitialMembers int
+	// NodeCapacity bounds each member's partition bytes for rebalance
+	// planning (0: effectively unbounded — the aggregate dataset size).
+	NodeCapacity int64
+	// PullTimeout bounds how long the coordinator waits for a dispatched
+	// partition pull to ack before treating the destination as failed and
+	// re-planning the transfer (default 30s). A destination that dies
+	// mid-pull never acks — without the watchdog the partition would park
+	// in the registry forever.
+	PullTimeout time.Duration
 	// Metrics re-homes every data-path instrument (cache, rpc, store) in
 	// a shared registry, so one snapshot captures the whole rank and the
 	// cluster report can merge rank snapshots name-by-name. Nil means a
@@ -292,26 +307,24 @@ type Node struct {
 	backend Backend
 	decode  *decomp.Pool // shared decode workers (opens > prefetch)
 
-	// Elastic identity. In a static Mount the view is the identity
-	// StaticMap (node ID i == rank i, version 1) and every membership
-	// code path degenerates to the fixed-world behaviour; an elastic
-	// mount (elastic.go) wires a live view fed by the coordinator.
-	view    *member.View
-	selfID  member.NodeID
-	elastic bool
-	mem     *member.Membership // nil on static mounts
-	ectrl   *elasticCtrl       // elastic control plane; nil on static mounts
-	ec      *ecState           // erasure redundancy; nil on replicate mounts
+	// Cluster identity: the membership handle, its live map view (fed by
+	// the coordinator; the identity StaticMap until the world changes),
+	// and the control plane for joins, leaves and shutdown (elastic.go).
+	view   *member.View
+	selfID member.NodeID
+	mem    *member.Membership
+	ectrl  *elasticCtrl
+	ec     *ecState // erasure redundancy; nil on replicate mounts
 
 	mu   sync.RWMutex
 	meta map[string]*FileMeta
 	dirs *dirIndex
 	// writes holds sealed output files (uncompressed, write-once).
 	writes map[string][]byte
-	// parts tracks the loaded partition blobs by global id for rebalance
-	// transfers (opFetchPart). Only elastic mounts populate it — static
-	// mounts never hand partitions off, and not retaining the blobs
-	// keeps the spill backend's RAM profile unchanged.
+	// parts tracks this node's owned partitions by global id for rebalance
+	// transfers (opFetchPart) and shard pushes. It holds no blob: the
+	// backend reads one back on demand (Backend.Blob), so a spill mount
+	// keeps its partitions on disk.
 	parts map[uint64]*nodePart
 
 	// inflight deduplicates concurrent producers of the same not-yet-
@@ -415,10 +428,10 @@ func (n *Node) Metrics() Metrics {
 }
 
 // newNode builds a Node's data-path machinery — cache, backend, decode
-// pool, rpc server/client, instruments — without any collective traffic.
-// Mount (static) and MountElastic share it; only the view and the
-// metadata exchange differ.
-func newNode(comm *mpi.Comm, view *member.View, selfID member.NodeID, elastic bool, opts Options) (*Node, error) {
+// pool, rpc server/client, instruments, control plane — over an
+// established membership, without any traffic. Mount and JoinCluster
+// share it; only the metadata exchange differs.
+func newNode(comm *mpi.Comm, mem *member.Membership, opts Options) (*Node, error) {
 	if opts.CacheBytes <= 0 {
 		opts.CacheBytes = 256 << 20
 	}
@@ -449,9 +462,9 @@ func newNode(comm *mpi.Comm, view *member.View, selfID member.NodeID, elastic bo
 		cache:      NewCacheShards(opts.CacheBytes, opts.CachePolicy, opts.CacheShards),
 		backend:    backend,
 		decode:     decomp.New(opts.DecodeWorkers, reg),
-		view:       view,
-		selfID:     selfID,
-		elastic:    elastic,
+		view:       mem.View(),
+		selfID:     mem.ID(),
+		mem:        mem,
 		meta:       make(map[string]*FileMeta),
 		dirs:       newDirIndex(),
 		writes:     make(map[string][]byte),
@@ -464,9 +477,6 @@ func newNode(comm *mpi.Comm, view *member.View, selfID member.NodeID, elastic bo
 	}
 	n.batchItems.Store(int64(batchItems))
 	if opts.Redundancy.Mode == RedundancyEC {
-		if !elastic {
-			return nil, fmt.Errorf("fanstore: ec redundancy requires an elastic mount (static mounts replicate)")
-		}
 		code, err := ec.New(opts.Redundancy.K, opts.Redundancy.M)
 		if err != nil {
 			return nil, err
@@ -474,7 +484,7 @@ func newNode(comm *mpi.Comm, view *member.View, selfID member.NodeID, elastic bo
 		n.ec = newECState(code, reg)
 	}
 	n.instrument()
-	n.mapVersion.Set(int64(view.Version()))
+	n.mapVersion.Set(int64(n.view.Version()))
 	n.cache.instrument(reg, opts.Tracer)
 	n.cache.setEvents(opts.Events)
 	n.server = rpc.NewServer(comm, tagFetch, n.handleFetch, rpc.ServerOptions{
@@ -487,97 +497,16 @@ func newNode(comm *mpi.Comm, view *member.View, selfID member.NodeID, elastic bo
 		Backoff: opts.FetchBackoff,
 		Metrics: reg,
 	})
-	return n, nil
-}
-
-// Mount loads this rank's partitions (plus an optional broadcast
-// partition replicated on every rank), exchanges metadata and replica
-// announcements with all peers, and starts the daemon. Every rank of the
-// communicator must call Mount collectively with its own partitions.
-func Mount(comm *mpi.Comm, partitions [][]byte, broadcast []byte, opts Options) (*Node, error) {
-	// The static world is the identity map: node ID i is rank i, and the
-	// version never moves past 1, so stale-map machinery stays inert.
-	n, err := newNode(comm, member.NewView(member.StaticMap(comm.Size())), member.NodeID(comm.Rank()), false, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	// Load assigned partitions into the local backend (§IV-C1).
-	var localMetas []FileMeta
-	for _, blob := range partitions {
-		metas, err := n.loadPartition(blob)
-		if err != nil {
-			return nil, err
-		}
-		localMetas = append(localMetas, metas...)
-	}
-	// Replica partitions are served locally but owned by the rank that
-	// announces them; this rank announces only the paths, so peers can
-	// route fetches here as an alternative to the owner.
-	var replicaPaths []string
-	for _, blob := range opts.Replicas {
-		metas, err := n.loadPartition(blob)
-		if err != nil {
-			return nil, err
-		}
-		for i := range metas {
-			replicaPaths = append(replicaPaths, metas[i].Path)
-		}
-	}
-	// The broadcast partition (validation data) is local on every rank
-	// but owned by rank 0 for metadata purposes; it is not re-announced
-	// by every rank to keep the Allgather frames linear in dataset size.
-	if broadcast != nil {
-		bmetas, err := n.loadPartition(broadcast)
-		if err != nil {
-			return nil, err
-		}
-		if comm.Rank() == 0 {
-			localMetas = append(localMetas, bmetas...)
-		}
-	}
-
-	// Construct the global metadata view (§IV-C1): one Allgather, then
-	// all metadata traffic is served from RAM.
-	frames, err := comm.Allgather(encodeMetas(localMetas))
-	if err != nil {
-		return nil, fmt.Errorf("fanstore: metadata allgather: %w", err)
-	}
-	for r, frame := range frames {
-		metas, err := decodeMetas(frame)
-		if err != nil {
-			return nil, fmt.Errorf("fanstore: rank %d metadata: %w", r, err)
-		}
-		for i := range metas {
-			n.addMeta(metas[i])
-		}
-	}
-
-	// Second collective: replica announcements. Running it after the
-	// metadata exchange guarantees every owner record exists before a
-	// replica rank is attached to it, whatever the rank order.
-	repFrames, err := comm.Allgather(encodePaths(replicaPaths))
-	if err != nil {
-		return nil, fmt.Errorf("fanstore: replica allgather: %w", err)
-	}
-	for r, frame := range repFrames {
-		paths, err := decodePaths(frame)
-		if err != nil {
-			return nil, fmt.Errorf("fanstore: rank %d replicas: %w", r, err)
-		}
-		for _, p := range paths {
-			n.noteReplica(p, r)
-		}
-	}
-
-	go n.server.Serve()
+	n.ectrl = newElasticCtrl(n, opts)
 	return n, nil
 }
 
 // loadPartition parses one partition blob into the backend and returns
-// this rank's metadata records for its entries, stamped with this node's
-// ID and the current map version.
-func (n *Node) loadPartition(blob []byte) ([]FileMeta, error) {
+// its metadata records, stamped with this node's ID, the current map
+// version and gid. A nonzero gid makes the partition this node's to hand
+// off in a rebalance (n.parts); gid 0 loads a partition the cluster never
+// moves (the broadcast partition, replicas of another node's).
+func (n *Node) loadPartition(gid uint64, blob []byte) ([]FileMeta, error) {
 	p, err := pack.Parse(blob)
 	if err != nil {
 		return nil, err
@@ -586,6 +515,7 @@ func (n *Node) loadPartition(blob []byte) ([]FileMeta, error) {
 		return nil, err
 	}
 	metas := make([]FileMeta, 0, len(p.Entries))
+	paths := make([]string, 0, len(p.Entries))
 	for i := range p.Entries {
 		e := &p.Entries[i]
 		fm := FileMeta{
@@ -597,6 +527,7 @@ func (n *Node) loadPartition(blob []byte) ([]FileMeta, error) {
 			CompressorID: e.CompressorID,
 			Owner:        int32(n.selfID),
 			MapVersion:   n.view.Version(),
+			PartGID:      gid,
 		}
 		// Layered entries carry their cumulative extent table in the
 		// metadata record, so every rank can turn a fidelity budget into
@@ -609,34 +540,23 @@ func (n *Node) loadPartition(blob []byte) ([]FileMeta, error) {
 			fm.LayerPrefix = lp
 		}
 		metas = append(metas, fm)
+		paths = append(paths, fm.Path)
+	}
+	// An empty partition has nothing to serve, move or protect.
+	if gid != 0 && len(paths) > 0 {
+		n.mu.Lock()
+		n.parts[gid] = &nodePart{gid: gid, paths: paths}
+		n.mu.Unlock()
 	}
 	return metas, nil
 }
 
-// nodePart is one loaded partition blob an elastic node can hand off to
-// a new owner during a rebalance.
+// nodePart is one partition this node owns and can hand off to a new
+// owner during a rebalance. Its blob is read back from the backend by
+// any of its paths (Backend.Blob).
 type nodePart struct {
-	gid   uint64 // cluster-wide partition id assigned by the coordinator
-	blob  []byte
+	gid   uint64   // cluster-wide partition id
 	paths []string // clean paths of the partition's entries
-}
-
-// loadPartitionGID loads a partition and registers it under its global
-// id for rebalance transfers. Elastic mounts only.
-func (n *Node) loadPartitionGID(gid uint64, blob []byte) ([]FileMeta, error) {
-	metas, err := n.loadPartition(blob)
-	if err != nil {
-		return nil, err
-	}
-	paths := make([]string, len(metas))
-	for i := range metas {
-		metas[i].PartGID = gid
-		paths[i] = metas[i].Path
-	}
-	n.mu.Lock()
-	n.parts[gid] = &nodePart{gid: gid, blob: blob, paths: paths}
-	n.mu.Unlock()
-	return metas, nil
 }
 
 // dropPartition forgets a handed-off partition: the old owner's half of
@@ -653,31 +573,32 @@ func (n *Node) dropPartition(gid uint64) {
 	}
 }
 
-// addMeta inserts one record into the namespace (last writer wins, which
-// only matters for the broadcast partition seen via rank 0).
-func (n *Node) addMeta(m FileMeta) {
+// addMeta inserts records into the namespace under one lock (last
+// writer wins per path).
+func (n *Node) addMeta(ms ...FileMeta) {
 	n.mu.Lock()
-	cp := cleanPath(m.Path)
-	m.Path = cp
-	n.meta[cp] = &m
-	n.dirs.add(cp, m.Size)
+	for _, m := range ms {
+		m.Path = cleanPath(m.Path)
+		n.meta[m.Path] = &m
+		n.dirs.add(m.Path, m.Size)
+	}
 	n.mu.Unlock()
 }
 
-// noteReplica records that rank also serves path's compressed object.
-func (n *Node) noteReplica(path string, rank int) {
+// noteReplica records that node id also serves path's compressed object.
+func (n *Node) noteReplica(path string, id member.NodeID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	m, ok := n.meta[cleanPath(path)]
-	if !ok || m.Owner == int32(rank) {
+	if !ok || m.Owner == int32(id) {
 		return // replica of an unannounced partition, or the owner itself
 	}
 	for _, r := range m.Replicas {
-		if r == int32(rank) {
+		if r == int32(id) {
 			return
 		}
 	}
-	m.Replicas = append(m.Replicas, int32(rank))
+	m.Replicas = append(m.Replicas, int32(id))
 }
 
 // handleFetch answers one peer request on a daemon worker, dispatching
@@ -721,7 +642,11 @@ func (n *Node) handleFetchPart(body []byte) ([]byte, error) {
 	if p == nil {
 		return nil, fmt.Errorf("%w: partition %d", rpc.ErrNotFound, gid)
 	}
-	return append(rpc.NewReply(len(p.blob)), p.blob...), nil
+	blob, err := n.backend.Blob(p.paths[0])
+	if err != nil {
+		return nil, err
+	}
+	return append(rpc.NewReply(len(blob)), blob...), nil
 }
 
 // handleMetaSync answers a single-path metadata refresh from this
@@ -863,12 +788,9 @@ func (n *Node) fetchCandidates(m *FileMeta) []member.NodeID {
 
 // refreshRoutes is the stale-map recovery path: sync the membership
 // view from the coordinator, pull the path's current metadata record,
-// and return the refreshed record for re-resolution. Static mounts have
-// nothing to refresh and return nil.
+// and return the refreshed record for re-resolution (nil when the sync
+// fails).
 func (n *Node) refreshRoutes(path string) *FileMeta {
-	if !n.elastic || n.mem == nil {
-		return nil
-	}
 	n.mapRefreshes.Inc()
 	if _, err := n.mem.Sync(); err != nil {
 		return nil
@@ -951,8 +873,8 @@ func (f fetched) release() { bufpool.Put(f.frame) }
 // The outcome distinguishes a first-candidate success (remote-fetch) from
 // one that needed failover, so the open span carries routing health.
 //
-// On an elastic mount candidates resolve through the cluster-map view,
-// and a version-mismatch answer (rpc.ItemStale, or an unresolvable node
+// Candidates resolve through the cluster-map view, and a
+// version-mismatch answer (rpc.ItemStale, or an unresolvable node
 // ID) triggers a map-and-metadata refresh followed by re-resolution
 // against the refreshed record — not a failover: the object exists, the
 // route was just planned on an old map.
@@ -1023,16 +945,14 @@ func (n *Node) fetchLayers(m *FileMeta, from, to uint8) (fetched, trace.Outcome,
 			}
 			if errors.Is(err, rpc.ErrNotFound) {
 				misses++
-				if n.elastic {
-					// Even a version-matched miss can be a commit race: map
-					// and meta land in separate steps, so this node may have
-					// routed to the old owner under the new version after
-					// the owner already dropped the partition. Suspect a
-					// stale route first; only when the refresh cap trips
-					// with every candidate still answering not-found is the
-					// object declared vanished.
-					stale = true
-				}
+				// Even a version-matched miss can be a commit race: map and
+				// meta land in separate steps, so this node may have routed
+				// to the old owner under the new version after the owner
+				// already dropped the partition. Suspect a stale route
+				// first; only when the refresh cap trips with every
+				// candidate still answering not-found is the object
+				// declared vanished.
+				stale = true
 				continue
 			}
 			if i+1 < len(cands) {
@@ -1071,8 +991,8 @@ func (n *Node) fetchLayers(m *FileMeta, from, to uint8) (fetched, trace.Outcome,
 		}
 	}
 	outcome = trace.OutcomeError
-	if allNotFound && (!n.elastic || refreshes > 0) {
-		// The routes were current (or just refreshed) and every candidate
+	if allNotFound && refreshes > 0 {
+		// The routes were just refreshed and every candidate
 		// authoritatively answered not-found: the object is gone, not
 		// mis-routed — callers can distinguish this from transport death.
 		if n.events.Enabled() {
@@ -1537,32 +1457,6 @@ func (n *Node) upgradeInPlace(m *FileMeta, want uint8) (data []byte, ok bool) {
 	return n.cache.InsertOwnedFidelity(m.Path, out, metaFidelity(m, uint8(to))), true
 }
 
-// Close shuts the daemon down. It must be called collectively after all
-// ranks are done with the namespace (a barrier inside ensures no peer
-// still needs this rank's objects). Even when the barrier fails — a peer
-// aborted mid-run — the fetch server is still stopped so Close cannot
-// hang.
-func (n *Node) Close() error {
-	if n.closed.Swap(true) {
-		return nil
-	}
-	if n.elastic {
-		// An elastic node cannot barrier over the fixed-size world (only
-		// a subset of slots are members); it hands shutdown sequencing to
-		// the coordinator's bye/ack handshake instead.
-		return n.closeElastic()
-	}
-	_ = n.comm.Barrier()
-	// Stop the fetch server unconditionally. On the error path its
-	// shutdown pill may fail too, but then the world is aborted and the
-	// receive loop exits on its closed mailbox.
-	n.server.Stop()
-	// With the server down no new decode work arrives; the pool drains
-	// whatever is queued (stragglers run inline on their submitters).
-	n.decode.Close()
-	return n.backend.Close()
-}
-
 // Stats snapshots the node's data-path counters — a thin view over the
 // registry instruments, kept for tests and existing callers.
 func (n *Node) Stats() Stats {
@@ -1642,12 +1536,12 @@ func (n *Node) Tracer() *trace.Tracer { return n.tracer }
 // Rank returns the rank this node runs on.
 func (n *Node) Rank() int { return n.comm.Rank() }
 
-// ID returns this node's stable cluster identity. On a static mount it
-// equals the rank.
+// ID returns this node's stable cluster identity. For an initial member
+// it equals the rank; a node that joined later gets the next free ID.
 func (n *Node) ID() member.NodeID { return n.selfID }
 
-// View returns the node's cluster-map view (the identity StaticMap on a
-// static mount).
+// View returns the node's cluster-map view (the identity StaticMap until
+// the membership changes).
 func (n *Node) View() *member.View { return n.view }
 
 // MapVersion returns the cluster-map version the node currently routes

@@ -85,14 +85,25 @@ type Membership struct {
 // listener and the coordinator's serve loop are already running.
 func (m *Membership) SetEvents(ev *obs.EventLog) { m.events.Store(ev) }
 
-// StartCoordinator creates the cluster with this rank as coordinator and
-// first member (ID 0, version 1) and starts the request serve loop. The
-// returned Membership is the coordinator's own handle; Close it when the
-// cluster shuts down.
-func StartCoordinator(comm *mpi.Comm) *Membership {
-	cur := &ClusterMap{Version: 1, Nodes: []Node{{ID: 0, Rank: comm.Rank(), State: StateAlive}}}
-	c := &Coordinator{comm: comm, cur: cur, nextID: 1, view: NewView(cur), closing: make(chan struct{})}
-	m := &Membership{id: 0, comm: comm, coordRank: comm.Rank(), view: c.view, coord: c}
+// Start forms a cluster whose initial members are ranks 0..members-1,
+// without a join round: each of them starts from the identity map
+// StaticMap(members) (node ID i is rank i, version 1), so the members
+// agree on the map before any message moves. Rank 0 runs the coordinator
+// and gets its handle; ranks 1..members-1 get a member handle whose
+// listener applies later map broadcasts. The remaining slots enter later
+// through Join, with IDs from members upward. Close the handle when the
+// node shuts down.
+func Start(comm *mpi.Comm, members int) *Membership {
+	cur := StaticMap(members)
+	id := NodeID(comm.Rank())
+	if id != 0 {
+		m := &Membership{id: id, comm: comm, coordRank: 0, view: NewView(cur)}
+		m.wg.Add(1)
+		go m.listen()
+		return m
+	}
+	c := &Coordinator{comm: comm, cur: cur, nextID: NodeID(members), view: NewView(cur), closing: make(chan struct{})}
+	m := &Membership{id: 0, comm: comm, coordRank: 0, view: c.view, coord: c}
 	c.events = &m.events
 	go c.serve()
 	return m

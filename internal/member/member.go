@@ -193,8 +193,8 @@ func DecodeMap(src []byte) (*ClusterMap, error) {
 }
 
 // StaticMap builds the fixed-world map: NodeID i is rank i, all alive,
-// version 1. It is what a classic collective Mount runs under — every
-// elastic code path degenerates to today's behaviour on it.
+// version 1. Every cluster starts from it (see Start); a world that
+// never grows or shrinks keeps it for its whole lifetime.
 func StaticMap(size int) *ClusterMap {
 	m := &ClusterMap{Version: 1, Nodes: make([]Node, size)}
 	for i := range m.Nodes {

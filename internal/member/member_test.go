@@ -80,7 +80,7 @@ func TestJoinLeaveLifecycle(t *testing.T) {
 	const ranks = 4
 	err := mpi.Run(ranks, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
-			mem := StartCoordinator(c)
+			mem := Start(c, 1)
 			defer mem.Close()
 			if mem.ID() != 0 || !mem.IsCoordinator() {
 				return fmt.Errorf("coordinator identity wrong: %d", mem.ID())
@@ -156,7 +156,7 @@ func TestJoinLeaveLifecycle(t *testing.T) {
 func TestMalformedRequestStillAcked(t *testing.T) {
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
-			mem := StartCoordinator(c)
+			mem := Start(c, 1)
 			defer mem.Close()
 			for {
 				m, err := mem.Sync()
@@ -211,7 +211,7 @@ func TestConcurrentJoins(t *testing.T) {
 	ids := map[NodeID]int{}
 	err := mpi.Run(ranks, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
-			mem := StartCoordinator(c)
+			mem := Start(c, 1)
 			defer mem.Close()
 			for {
 				m, err := mem.Sync()
@@ -263,7 +263,7 @@ func TestCoordinatorCloseFailsFast(t *testing.T) {
 	err := mpi.Run(3, func(c *mpi.Comm) error {
 		switch c.Rank() {
 		case 0:
-			mem := StartCoordinator(c)
+			mem := Start(c, 1)
 			for {
 				m, err := mem.Sync()
 				if err != nil {

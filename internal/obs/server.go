@@ -26,7 +26,7 @@ type Health struct {
 	// Detail elaborates when not OK.
 	Detail string `json:"detail,omitempty"`
 	// MapVersion is the cluster-map version this rank routes under
-	// (0 for static worlds).
+	// (0 when the component has no cluster map).
 	MapVersion uint64 `json:"map_version,omitempty"`
 	// MapStale reports a known version disagreement (this rank has
 	// observed a newer map it has not installed yet).
